@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from .clustering import IncrementalClusterer, SequentialClusterer
-from .errors import DomainError, SolveError
+from .errors import DomainError
 from .indicator import parse as parse_indicator
 from .quorum import (
     QuorumConfig,
@@ -78,13 +78,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    mode = SolveMode(args.mode)
-    if mode is SolveMode.FAITHFUL and args.phi == 1.0:
-        raise SolveError(
-            "phi=1.0 requires strong consistency (r + w > n), which is unreachable "
-            "within faithful search bounds; use --mode extended"
-        )
-    options = SolveOptions(mode=mode, read_write_bias=_BIASES[args.bias])
+    options = SolveOptions(mode=SolveMode(args.mode), read_write_bias=_BIASES[args.bias])
     cfg = solve_quorum(args.phi, args.n, options)
     print(f"{cfg.r} {cfg.w} {consistency_level(cfg).phi!r}")
     return 0
@@ -99,7 +93,7 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = QuorumConfig(r=args.r, w=args.w, n=args.n)
-    sim = SimConfig(cluster_size=args.n, config=cfg, trials=args.trials, seed=args.seed)
+    sim = SimConfig(config=cfg, trials=args.trials, seed=args.seed)
     empirical = empirical_staleness(sim)
     analytic = staleness_probability(cfg)
     print(f"empirical={empirical!r} analytic={analytic!r}")

@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, UnlearnedError
+from .errors import ConfigError, DomainError, UnlearnedError, as_real, check_count
 from .quorum import ConsistencyLevel
 
 __all__ = [
@@ -68,7 +68,7 @@ class Sample:
         if type(chi) is not float or type(phi) is not float:
             try:
                 chi, phi = float(chi), float(phi)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(
                     f"sample values must be real numbers, got Sample(chi={chi!r}, phi={phi!r})"
                 ) from None
@@ -194,7 +194,7 @@ class _OnlineClusterer:
         """
         if not self._chi:
             raise UnlearnedError("adaptation state is unlearned: no clusters to look up")
-        chi_target = float(chi_target)
+        chi_target = as_real(chi_target, "chi_target")
         if not math.isfinite(chi_target):
             raise DomainError(f"chi_target must be finite, got {chi_target!r}")
         return ConsistencyLevel(self._phi[self._nearest(chi_target)[1]])
@@ -211,10 +211,7 @@ class SequentialClusterer(_OnlineClusterer):
     """Fixed-capacity streaming k-means over (chi, phi) samples."""
 
     def __init__(self, capacity: int):
-        if isinstance(capacity, bool) or not isinstance(capacity, int):
-            raise ConfigError(f"capacity must be an integer, got {capacity!r}")
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
+        check_count(capacity, "capacity")
         super().__init__()
         self.capacity = capacity
         self.total_seen = 0
@@ -244,10 +241,7 @@ class IncrementalClusterer(_OnlineClusterer):
     """
 
     def __init__(self, threshold: float):
-        try:
-            threshold = float(threshold)
-        except (TypeError, ValueError):
-            raise ConfigError(f"threshold must be a real number, got {threshold!r}") from None
+        threshold = as_real(threshold, "threshold")
         if not threshold > 0.0:
             raise ConfigError(f"threshold must be > 0, got {threshold!r}")
         super().__init__()

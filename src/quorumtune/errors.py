@@ -2,7 +2,9 @@
 
 Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
-with a single ``except`` clause.
+with a single ``except`` clause.  The input checks shared by the other
+modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`) live here
+too, so each rule and its message are written once.
 """
 
 from __future__ import annotations
@@ -53,3 +55,28 @@ class ParseError(IndicatorError):
 class EvaluationError(IndicatorError):
     """A well-formed program could not be evaluated (unbound variable or a
     numeric domain error such as ``log10`` of a non-positive value)."""
+
+
+def check_count(value: int, name: str) -> None:
+    """Require an ``int`` (not a ``bool``) that is at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """Require an ``int`` (not a ``bool``) in [0, 2**64), the PCG64 seed range."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
+def as_real(value: float, name: str) -> float:
+    """``float(value)``, or a :class:`ConfigError` naming ``name`` when the
+    value is not a number or is out of the float range (e.g. ``10**400``)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a real number, got {value!r}") from None

@@ -16,13 +16,12 @@ tie-breaking are fully deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigError, DomainError, SolveError
+from .errors import ConfigError, DomainError, SolveError, as_real, check_count
 
 __all__ = [
     "QuorumConfig",
@@ -35,13 +34,6 @@ __all__ = [
     "enumerate_levels",
     "solve_quorum",
 ]
-
-
-def _check_positive_int(value: int, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,9 @@ class QuorumConfig:
     n: int
 
     def __post_init__(self) -> None:
-        _check_positive_int(self.n, "n")
-        _check_positive_int(self.r, "r")
-        _check_positive_int(self.w, "w")
+        check_count(self.n, "n")
+        check_count(self.r, "r")
+        check_count(self.w, "w")
         if self.r > self.n:
             raise ConfigError(f"r must satisfy 1 <= r <= n, got r={self.r}, n={self.n}")
         if self.w > self.n:
@@ -80,10 +72,7 @@ class ConsistencyLevel:
     phi: float
 
     def __post_init__(self) -> None:
-        try:
-            phi = float(self.phi)
-        except (TypeError, ValueError):
-            raise DomainError(f"consistency level must be a real number, got {self.phi!r}") from None
+        phi = as_real(self.phi, "consistency level")
         if not 0.0 <= phi <= 1.0:
             raise DomainError(f"consistency level must lie in [0, 1], got {phi!r}")
         object.__setattr__(self, "phi", phi)
@@ -128,29 +117,28 @@ class SolveOptions:
 DEFAULT_SOLVE_OPTIONS = SolveOptions()
 
 
-def _staleness_fraction(r: int, w: int, n: int) -> Fraction:
-    """C(n-w, r) / C(n, r) as an exact rational.
+def _staleness_ratio(r: int, w: int, n: int) -> tuple[int, int]:
+    """C(n-w, r) / C(n, r) as an unreduced integer ratio ``(num, den)``.
 
-    Uses the telescoping product prod_{i=0}^{r-1} (n-w-i)/(n-i); any
-    non-positive numerator factor means the read quorum cannot avoid the
-    write quorum, i.e. probability 0.  Integer products keep the result
-    exact for any n (no factorial overflow).
+    Uses the telescoping product prod_{i=0}^{r-1} (n-w-i)/(n-i).  When
+    ``r + w > n`` the read quorum cannot avoid the write quorum and the
+    ratio is ``(0, 1)``.  Integer products keep the result exact for any n
+    (no factorial overflow).  Callers divide it once, so each float is
+    correctly rounded and swapping r and w (an identical rational) yields a
+    bit-identical result.
     """
-    num = 1
-    den = 1
+    if r + w > n:
+        return 0, 1
+    num = den = 1
     for i in range(r):
-        top = n - w - i
-        if top <= 0:
-            return Fraction(0)
-        num *= top
+        num *= n - w - i
         den *= n - i
-    return Fraction(num, den)
+    return num, den
 
 
 def _phi_fraction(r: int, w: int, n: int) -> Fraction:
-    if r + w > n:
-        return Fraction(1)
-    return 1 - _staleness_fraction(r, w, n)
+    num, den = _staleness_ratio(r, w, n)
+    return Fraction(den - num, den)
 
 
 def staleness_probability(config: QuorumConfig) -> float:
@@ -159,30 +147,21 @@ def staleness_probability(config: QuorumConfig) -> float:
     >>> staleness_probability(QuorumConfig(r=2, w=3, n=5))
     0.1
     """
-    num = 1
-    den = 1
-    for i in range(config.r):
-        top = config.n - config.w - i
-        if top <= 0:
-            return 0.0
-        num *= top
-        den *= config.n - i
-    # Single integer division: one correctly rounded float, so swapping r and
-    # w (an identical rational) yields a bit-identical result.
+    num, den = _staleness_ratio(config.r, config.w, config.n)
     return num / den
+
 
 def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     """Probability that a read returns the most recent version.
 
     Exactly 1 when ``r + w > n``; otherwise the complement of
-    :func:`staleness_probability`.
+    :func:`staleness_probability`, rounded once from the exact rational.
 
     >>> consistency_level(QuorumConfig(r=2, w=3, n=5)).phi
     0.9
     """
-    if config.is_strong:
-        return ConsistencyLevel(1.0)
-    return ConsistencyLevel(1.0 - staleness_probability(config))
+    num, den = _staleness_ratio(config.r, config.w, config.n)
+    return ConsistencyLevel((den - num) / den)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +181,7 @@ def enumerate_levels(n: int) -> list[tuple[QuorumConfig, ConsistencyLevel]]:
     orientation yields the same level) paired with its level, sorted
     ascending by level, then by quorum sum ``r + w``, then by ``(r, w)``.
     """
-    _check_positive_int(n, "n")
+    check_count(n, "n")
     keyed = [
         (phi, i + j, i, j, QuorumConfig(i, j, n))
         for i, j, phi in _spectrum(n)
@@ -227,12 +206,9 @@ def solve_quorum(
         DomainError: if ``phi_target`` is outside [0, 1].
         SolveError: in faithful mode with ``n < 2`` (empty search space).
     """
-    _check_positive_int(n, "n")
-    try:
-        target_value = float(phi_target)
-    except (TypeError, ValueError):
-        raise DomainError(f"phi_target must be a real number, got {phi_target!r}") from None
-    if math.isnan(target_value) or not 0.0 <= target_value <= 1.0:
+    check_count(n, "n")
+    target_value = as_real(phi_target, "phi_target")
+    if not 0.0 <= target_value <= 1.0:
         raise DomainError(f"phi_target must lie in [0, 1], got {phi_target!r}")
     if options.mode is SolveMode.FAITHFUL and n < 2:
         raise SolveError(

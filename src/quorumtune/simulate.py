@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .clustering import IncrementalClusterer, Sample, SequentialClusterer
-from .errors import ConfigError
+from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate
 from .quorum import (
     DEFAULT_SOLVE_OPTIONS,
@@ -55,46 +55,21 @@ PHI_FLOOR = 1e-6
 # reproducibility contract (it determines how the random stream is consumed).
 _CHUNK = 1 << 16
 
-_MAX_SEED = 2**64
-
-
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A Monte-Carlo staleness experiment.
+    """A Monte-Carlo staleness experiment: ``trials`` reads against the
+    ``config.n`` replicas of one item, drawn from the generator ``seed``."""
 
-    ``cluster_size`` is the total node pool the replicas live in; it must be
-    at least ``config.n``.  It does not influence quorum math (only the
-    ``n`` replicas of the item matter) and is validated for bookkeeping.
-    """
-
-    cluster_size: int
     config: QuorumConfig
     trials: int
     seed: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.cluster_size, bool) or not isinstance(self.cluster_size, int):
-            raise ConfigError(f"cluster_size must be an integer, got {self.cluster_size!r}")
-        if self.cluster_size < 1:
-            raise ConfigError(f"cluster_size must be >= 1, got {self.cluster_size}")
         if not isinstance(self.config, QuorumConfig):
             raise ConfigError(f"config must be a QuorumConfig, got {self.config!r}")
-        if self.config.n > self.cluster_size:
-            raise ConfigError(
-                f"replica count n={self.config.n} exceeds cluster_size={self.cluster_size}"
-            )
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        _check_seed(self.seed)
+        check_count(self.trials, "trials")
+        check_seed(self.seed)
 
 
 def _random_subset_mask(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
@@ -154,10 +129,7 @@ class LoopConfig:
             raise ConfigError(f"relation must be an IndicatorProgram, got {self.relation!r}")
         if not isinstance(self.clusterer, (SequentialClusterer, IncrementalClusterer)):
             raise ConfigError(f"unsupported clusterer {self.clusterer!r}")
-        if isinstance(self.bootstrap_samples, bool) or not isinstance(self.bootstrap_samples, int):
-            raise ConfigError(f"bootstrap_samples must be an integer, got {self.bootstrap_samples!r}")
-        if self.bootstrap_samples < 1:
-            raise ConfigError(f"bootstrap_samples must be >= 1, got {self.bootstrap_samples}")
+        check_count(self.bootstrap_samples, "bootstrap_samples")
         if isinstance(self.clusterer, SequentialClusterer):
             if self.bootstrap_samples < self.clusterer.capacity:
                 raise ConfigError(
@@ -165,10 +137,9 @@ class LoopConfig:
                     f"capacity {self.clusterer.capacity}; the clusterer would never leave "
                     "its seeding phase"
                 )
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        _check_seed(self.seed)
-        object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
+        check_count(self.n, "n")
+        check_seed(self.seed)
+        object.__setattr__(self, "targets", tuple(as_real(t, "target") for t in self.targets))
         object.__setattr__(self, "constants", dict(self.constants))
 
 

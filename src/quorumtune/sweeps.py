@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .clustering import IncrementalClusterer, Sample, SequentialClusterer
-from .errors import ConfigError
+from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
 from .simulate import PHI_FLOOR
 
@@ -83,11 +83,7 @@ class RelationSpec:
         if not isinstance(self.family, RelationFamily):
             raise ConfigError(f"family must be a RelationFamily, got {self.family!r}")
         for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"constant {name.upper()} must be a real number, got {value!r}") from None
+            value = as_real(getattr(self, name), f"constant {name.upper()}")
             if not math.isfinite(value):
                 raise ConfigError(f"constant {name.upper()} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
@@ -196,12 +192,9 @@ def _sweep_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _check_seed_and_sizes(bootstrap: int, tests: int, seed: int) -> None:
-    if isinstance(bootstrap, bool) or not isinstance(bootstrap, int) or bootstrap < 1:
-        raise ConfigError(f"bootstrap must be a positive integer, got {bootstrap!r}")
-    if isinstance(tests, bool) or not isinstance(tests, int) or tests < 1:
-        raise ConfigError(f"tests must be a positive integer, got {tests!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    check_count(bootstrap, "bootstrap")
+    check_count(tests, "tests")
+    check_seed(seed)
 
 
 def _run_point(
@@ -239,22 +232,17 @@ def evaluate_sequential(
     its own generator derived from ``(seed, point index)``.
     """
     _check_seed_and_sizes(bootstrap, tests, seed)
-    counts = list(cluster_counts)
-    if not counts:
+    clusterers = sorted(map(SequentialClusterer, cluster_counts), key=lambda c: c.capacity)
+    if not clusterers:
         raise ConfigError("cluster_counts must be non-empty")
-    for count in counts:
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ConfigError(f"cluster counts must be positive integers, got {count!r}")
-        if count > bootstrap:
-            raise ConfigError(
-                f"cluster count {count} exceeds the bootstrap size {bootstrap}"
-            )
-    counts.sort()
+    if clusterers[-1].capacity > bootstrap:
+        raise ConfigError(
+            f"cluster count {clusterers[-1].capacity} exceeds the bootstrap size {bootstrap}"
+        )
     rows = []
-    for index, count in enumerate(counts):
-        clusterer = SequentialClusterer(count)
+    for index, clusterer in enumerate(clusterers):
         rmse = _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
-        rows.append(SequentialRow(clusters=count, rmse=rmse))
+        rows.append(SequentialRow(clusters=clusterer.capacity, rmse=rmse))
     return RmseReport(
         relation=relation,
         algorithm="seq",
@@ -278,23 +266,15 @@ def evaluate_incremental(
     own generator derived from ``(seed, point index)``.
     """
     _check_seed_and_sizes(bootstrap, tests, seed)
-    taus = []
-    for tau in thresholds:
-        try:
-            tau = float(tau)
-        except (TypeError, ValueError):
-            raise ConfigError(f"thresholds must be real numbers, got {tau!r}") from None
-        if not tau > 0.0:
-            raise ConfigError(f"thresholds must be > 0, got {tau!r}")
-        taus.append(tau)
-    if not taus:
+    clusterers = sorted(map(IncrementalClusterer, thresholds), key=lambda c: c.threshold)
+    if not clusterers:
         raise ConfigError("thresholds must be non-empty")
-    taus.sort()
     rows = []
-    for index, tau in enumerate(taus):
-        clusterer = IncrementalClusterer(tau)
+    for index, clusterer in enumerate(clusterers):
         rmse = _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
-        rows.append(IncrementalRow(threshold=tau, clusters=len(clusterer), rmse=rmse))
+        rows.append(
+            IncrementalRow(threshold=clusterer.threshold, clusters=len(clusterer), rmse=rmse)
+        )
     return RmseReport(
         relation=relation,
         algorithm="incr",

@@ -131,7 +131,6 @@ def test_criterion_3_monte_carlo_agreement():
                     cfg = QuorumConfig(r, w, n)
                     analytic = staleness_probability(cfg)
                     sim = SimConfig(
-                        cluster_size=n,
                         config=cfg,
                         trials=trials,
                         seed=n * 10_000 + r * 100 + w,

@@ -44,9 +44,10 @@ class TestSolve:
         assert out == "2 3 0.9\n"
 
     def test_faithful_cannot_reach_strong(self, capsys):
-        code, out, err = run(capsys, "solve", "--phi", "1.0", "--n", "5", "--mode", "faithful")
-        assert code == 2
-        assert "faithful" in err and "extended" in err
+        # Faithful mode answers with the nearest weak pair, as solve_quorum does.
+        code, out, _ = run(capsys, "solve", "--phi", "1.0", "--n", "5", "--mode", "faithful")
+        assert code == 0
+        assert out == "2 3 0.9\n"
 
     def test_writes_bias(self, capsys):
         code, out, _ = run(capsys, "solve", "--phi", "1.0", "--n", "5", "--bias", "writes")
@@ -65,7 +66,7 @@ class TestLevels:
         lines = out.strip().split("\n")
         assert lines[0] == "r,w,phi"
         assert len(lines) == 16  # header + the 15 canonical configs
-        assert lines[1].startswith("1,1,0.19999999")
+        assert lines[1] == "1,1,0.2"
         assert lines[-1] == "5,5,1.0"
 
 

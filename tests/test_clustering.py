@@ -22,7 +22,17 @@ class TestSample:
         s = Sample(chi=1, phi=0)
         assert isinstance(s.chi, float) and isinstance(s.phi, float)
 
-    @pytest.mark.parametrize("chi,phi", [(float("inf"), 0.5), (float("nan"), 0.5), (0.0, -0.1), (0.0, 1.1), (0.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "chi,phi",
+        [
+            (float("inf"), 0.5),
+            (float("nan"), 0.5),
+            (0.0, -0.1),
+            (0.0, 1.1),
+            (0.0, float("nan")),
+            pytest.param(10**400, 0.5, id="10**400-0.5"),
+        ],
+    )
     def test_rejects_bad_values(self, chi, phi):
         with pytest.raises(DomainError):
             Sample(chi=chi, phi=phi)
@@ -109,7 +119,7 @@ class TestIncremental:
             clusterer.learn(Sample(float(2 ** (i % 50)) + 1e6 * (i // 50), 0.5))
         assert len(clusterer) > 16  # grew past the initial array room
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, "x", None])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, "x", None, pytest.param(10**400, id="10**400")])
     def test_rejects_bad_threshold(self, bad):
         with pytest.raises(ConfigError):
             IncrementalClusterer(bad)
@@ -147,8 +157,9 @@ class TestLookup:
     def test_rejects_non_finite_target(self):
         clusterer = SequentialClusterer(2)
         clusterer.learn(Sample(0.0, 0.5))
-        with pytest.raises(DomainError):
-            clusterer.lookup(float("nan"))
+        for bad in (float("nan"), "x", 10**400):
+            with pytest.raises(DomainError):
+                clusterer.lookup(bad)
 
 
 class TestReset:

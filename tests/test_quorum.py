@@ -56,6 +56,8 @@ class TestConsistencyLevelType:
             ConsistencyLevel(1.01)
         with pytest.raises(DomainError):
             ConsistencyLevel(float("nan"))
+        with pytest.raises(DomainError):
+            ConsistencyLevel(10**400)
 
 
 class TestStalenessProbability:
@@ -77,6 +79,8 @@ class TestStalenessProbability:
                     expected = enumeration_staleness(r, w, n)
                     got = staleness_probability(QuorumConfig(r, w, n))
                     assert got == float(expected), (r, w, n)
+                    phi = consistency_level(QuorumConfig(r, w, n)).phi
+                    assert phi == float(1 - expected), (r, w, n)
 
 
 def enumeration_fraction_fast(r: int, w: int, n: int) -> Fraction:
@@ -206,7 +210,7 @@ class TestSolveQuorum:
         assert (cfg.r, cfg.w) == (1, 1)
 
     def test_rejects_out_of_range_targets(self):
-        for bad in (-0.1, 1.1, float("nan")):
+        for bad in (-0.1, 1.1, float("nan"), 10**400):
             with pytest.raises(DomainError):
                 solve_quorum(bad, 5)
         with pytest.raises(ConfigError):
@@ -214,15 +218,16 @@ class TestSolveQuorum:
 
     def test_brute_force_optimality_small(self):
         # The acceptance suite covers n <= 25 at step 0.01; keep a smaller
-        # smoke version close to the unit tests.
+        # smoke version close to the unit tests.  Distances are exact, as in
+        # the solver, so exact ties (1/3 and 2/3 around 0.5 at n=3) stay ties.
         for n in range(1, 9):
-            table = [
-                consistency_level(QuorumConfig(r, w, n)).phi
+            table = {
+                (r, w): 1 - enumeration_staleness(r, w, n)
                 for r in range(1, n + 1)
                 for w in range(1, n + 1)
-            ]
+            }
             for i in range(0, 21):
-                phi = i / 20
-                best = min(abs(value - phi) for value in table)
-                got = consistency_level(solve_quorum(phi, n)).phi
-                assert abs(got - phi) == best
+                target = Fraction(i / 20)
+                best = min(abs(value - target) for value in table.values())
+                got = solve_quorum(i / 20, n)
+                assert abs(table[(got.r, got.w)] - target) == best

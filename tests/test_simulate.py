@@ -19,21 +19,11 @@ from quorumtune import (
 )
 
 
-def sim(r, w, n, trials=100_000, seed=1234, cluster_size=None):
-    return SimConfig(
-        cluster_size=n if cluster_size is None else cluster_size,
-        config=QuorumConfig(r=r, w=w, n=n),
-        trials=trials,
-        seed=seed,
-    )
+def sim(r, w, n, trials=100_000, seed=1234):
+    return SimConfig(config=QuorumConfig(r=r, w=w, n=n), trials=trials, seed=seed)
 
 
 class TestSimConfig:
-    def test_replicas_bounded_by_cluster(self):
-        with pytest.raises(ConfigError):
-            sim(1, 1, 5, cluster_size=4)
-        assert sim(1, 1, 5, cluster_size=9).cluster_size == 9
-
     @pytest.mark.parametrize("trials", [0, -5, 1.0])
     def test_rejects_bad_trials(self, trials):
         with pytest.raises(ConfigError):
@@ -46,7 +36,7 @@ class TestSimConfig:
 
     def test_rejects_non_config(self):
         with pytest.raises(ConfigError):
-            SimConfig(cluster_size=3, config=(1, 1, 3), trials=10, seed=0)
+            SimConfig(config=(1, 1, 3), trials=10, seed=0)
 
 
 class TestEmpiricalStaleness:

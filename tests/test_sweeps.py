@@ -63,6 +63,8 @@ class TestRelationSpec:
             RelationSpec("linear")
         with pytest.raises(ConfigError):
             RelationSpec(RelationFamily.LINEAR, a=float("nan"))
+        with pytest.raises(ConfigError):
+            RelationSpec(RelationFamily.LINEAR, a=10**400)
 
 
 class TestChiRange:
