@@ -28,6 +28,7 @@ from .indicator import (
     Bindings,
     Call,
     Expr,
+    MAX_DEPTH,
     IndicatorProgram,
     Neg,
     Num,
@@ -105,6 +106,7 @@ __all__ = [
     "Expr",
     "IndicatorProgram",
     "Bindings",
+    "MAX_DEPTH",
     "parse",
     "evaluate",
     "unparse",

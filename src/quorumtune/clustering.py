@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, UnlearnedError, as_real, check_count
+from .errors import ConfigError, DomainError, UnlearnedError, as_real, check_count, shown
 from .quorum import ConsistencyLevel
 
 __all__ = [
@@ -70,7 +70,8 @@ class Sample:
                 chi, phi = float(chi), float(phi)
             except (TypeError, ValueError, OverflowError):
                 raise DomainError(
-                    f"sample values must be real numbers, got Sample(chi={chi!r}, phi={phi!r})"
+                    "sample values must be real numbers, "
+                    f"got Sample(chi={shown(chi)}, phi={shown(phi)})"
                 ) from None
         if not (-_INF < chi < _INF and 0.0 <= phi <= 1.0):
             if not math.isfinite(chi):
@@ -162,6 +163,12 @@ class _OnlineClusterer:
     def _absorb(self, position: int, k: int, sample: Sample) -> None:
         c = self._count[k]
         chi = (self._chi[k] * c + sample.chi) / (c + 1)
+        if not -_INF < chi < _INF:
+            # centroid * count overflowed, though a mean of finite samples is
+            # finite: step from the old centroid instead.  Any finite result
+            # of the line above is kept, so those centroids do not change.
+            old = self._chi[k]
+            chi = old + (sample.chi / (c + 1) - old / (c + 1))
         self._chi[k] = chi
         self._phi[k] = (self._phi[k] * c + sample.phi) / (c + 1)
         self._count[k] = c + 1

@@ -3,8 +3,9 @@
 Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
 with a single ``except`` clause.  The input checks shared by the other
-modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`) live here
-too, so each rule and its message are written once.
+modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`) and the
+bounded :func:`shown` that formats a rejected value live here too, so each
+rule and its message are written once.
 """
 
 from __future__ import annotations
@@ -57,20 +58,33 @@ class EvaluationError(IndicatorError):
     numeric domain error such as ``log10`` of a non-positive value)."""
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for an error message, at most 80 characters long.
+
+    ``repr`` itself raises ``ValueError`` for an int of more than 4300 digits
+    (Python's int-to-str limit); such a value is described by its size.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        text = f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def check_count(value: int, name: str) -> None:
     """Require an ``int`` (not a ``bool``) that is at least 1."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {shown(value)}")
     if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
+        raise ConfigError(f"{name} must be >= 1, got {shown(value)}")
 
 
 def check_seed(seed: int) -> None:
     """Require an ``int`` (not a ``bool``) in [0, 2**64), the PCG64 seed range."""
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+        raise ConfigError(f"seed must be an integer, got {shown(seed)}")
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {shown(seed)}")
 
 
 def as_real(value: float, name: str) -> float:
@@ -79,4 +93,4 @@ def as_real(value: float, name: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a real number, got {shown(value)}") from None

@@ -25,6 +25,14 @@ starting with a letter; whitespace is insignificant.
 The AST is a tree of frozen dataclasses with structural equality, and
 :func:`unparse` emits a fully parenthesized form that re-parses to a
 structurally identical tree.
+
+Nesting is bounded by :data:`MAX_DEPTH`: the parser rejects source with
+more nested parentheses than that, or whose tree is taller than that (a
+long ``1+1+...`` sum is a tall left-leaning tree, ``2^2^...`` a tall
+right-leaning one), with a :class:`ParseError` at the offending token; and
+:class:`IndicatorProgram`, :func:`evaluate`, :func:`unparse` and
+:func:`free_variables` reject a hand-built tree taller than that.  So no
+input exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import EvaluationError, ParseError
+from .errors import EvaluationError, IndicatorError, ParseError, shown
 
 __all__ = [
     "Num",
@@ -46,6 +54,7 @@ __all__ = [
     "IndicatorProgram",
     "Bindings",
     "FUNCTIONS",
+    "MAX_DEPTH",
     "parse",
     "evaluate",
     "unparse",
@@ -87,20 +96,35 @@ Bindings = Mapping[str, float]
 
 FUNCTIONS = ("log10", "abs")
 
+# Deepest nesting accepted anywhere.  A level of parentheses costs the parser
+# five interpreter frames and a tree level costs the evaluator one, so this
+# stays well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
+
 
 @dataclass(frozen=True)
 class IndicatorProgram:
-    """A parsed indicator expression: the original source plus its AST."""
+    """A parsed indicator expression: the original source plus its AST.
+
+    Raises:
+        IndicatorError: for an AST taller than :data:`MAX_DEPTH`, which only
+            a hand-built one can be.
+    """
 
     source: str
     ast: Expr
+
+    def __post_init__(self) -> None:
+        _checked(self.ast, IndicatorError)
 
     def evaluate(self, bindings: Bindings) -> float:
         return evaluate(self, bindings)
 
     @property
     def free_variables(self) -> frozenset[str]:
-        return free_variables(self.ast)
+        return free_variables(self)
 
 
 _TOKEN_RE = re.compile(
@@ -130,11 +154,18 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive-descent parser over the token list."""
+    """Recursive-descent parser over the token list.
+
+    Each ``parse_*`` method returns the subtree with its height.  Only
+    parentheses and calls recurse (chains of ``^`` and unary minus are
+    parsed in loops), so counting the open ones in ``_depth`` bounds the
+    parser's own recursion, and ``_join`` bounds the height of the tree.
+    """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._index]
@@ -150,63 +181,82 @@ class _Parser:
             return ParseError("unexpected end of input", pos)
         return ParseError(f"unexpected {text!r}", pos)
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def _join(self, pos: int, *heights: int) -> int:
+        """The height of a node over subtrees of ``heights``, or a
+        :class:`ParseError` at ``pos`` when that is too tall."""
+        height = 1 + max(heights)
+        if height > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
+        return height
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, height = self.parse_term()
         while self._peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self._advance()[1]
-            node = BinOp(op, node, self.parse_term())
-        return node
+            _, op, pos = self._advance()
+            right, right_height = self.parse_term()
+            node, height = BinOp(op, node, right), self._join(pos, height, right_height)
+        return node, height
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, height = self.parse_factor()
         while self._peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self._advance()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            _, op, pos = self._advance()
+            right, right_height = self.parse_factor()
+            node, height = BinOp(op, node, right), self._join(pos, height, right_height)
+        return node, height
 
-    def parse_factor(self) -> Expr:
-        node = self.parse_unary()
-        if self._peek()[:2] == ("op", "^"):
-            self._advance()
-            # Right recursion makes ^ right-associative: 2^3^2 == 2^(3^2).
-            node = BinOp("^", node, self.parse_factor())
-        return node
+    def parse_factor(self) -> tuple[Expr, int]:
+        # unary ("^" unary)*, folded from the right because ^ is
+        # right-associative: 2^3^2 == 2^(3^2).
+        operands = [self.parse_unary()]
+        carets = []
+        while self._peek()[:2] == ("op", "^"):
+            carets.append(self._advance()[2])
+            operands.append(self.parse_unary())
+        node, height = operands.pop()
+        while operands:
+            left, left_height = operands.pop()
+            node, height = BinOp("^", left, node), self._join(carets.pop(), left_height, height)
+        return node, height
 
-    def parse_unary(self) -> Expr:
-        if self._peek()[:2] == ("op", "-"):
-            self._advance()
-            return Neg(self.parse_unary())
-        return self.parse_atom()
+    def parse_unary(self) -> tuple[Expr, int]:
+        signs = []
+        while self._peek()[:2] == ("op", "-"):
+            signs.append(self._advance()[2])
+        node, height = self.parse_atom()
+        while signs:
+            node, height = Neg(node), self._join(signs.pop(), height)
+        return node, height
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         kind, text, pos = self._peek()
         if kind == "number":
             self._advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             self._advance()
-            if self._peek()[:2] == ("op", "("):
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", pos)
-                self._advance()
-                arg = self.parse_expr()
-                self._expect_close_paren()
-                return Call(text, arg)
-            return Var(text)
-        if (kind, text) == ("op", "("):
-            self._advance()
-            node = self.parse_expr()
-            self._expect_close_paren()
-            return node
-        raise self._unexpected()
-
-    def _expect_close_paren(self) -> None:
+            if self._peek()[:2] != ("op", "("):
+                return Var(text), 1
+            if text not in FUNCTIONS:
+                raise ParseError(f"unknown function {text!r}", pos)
+        elif (kind, text) != ("op", "("):
+            raise self._unexpected()
+        # "(" expr ")", a call's argument or a group: the parser's only recursion.
+        open_pos = self._advance()[2]
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, open_pos)
+        node, height = self.parse_expr()
         if self._peek()[:2] != ("op", ")"):
             raise self._unexpected()
         self._advance()
+        self._depth -= 1
+        if kind == "ident":
+            return Call(text, node), self._join(pos, height)
+        return node, height
 
     def parse_program(self) -> Expr:
-        node = self.parse_expr()
+        node, _ = self.parse_expr()
         if self._peek()[0] != "end":
             raise self._unexpected()
         return node
@@ -227,13 +277,44 @@ def parse(source: str) -> IndicatorProgram:
     return IndicatorProgram(source=source, ast=_Parser(tokens).parse_program())
 
 
+def _checked(node: Expr | IndicatorProgram, error: type[IndicatorError]) -> Expr:
+    """The tree of ``node``, raising ``error`` if it is taller than
+    :data:`MAX_DEPTH`.
+
+    A program's tree was checked when the program was built.  A bare tree is
+    walked with an explicit stack, so this is safe on a tree of any height;
+    the recursive walks below run only on trees that passed.
+    """
+    if isinstance(node, IndicatorProgram):
+        return node.ast
+    stack = [(node, 1)]
+    while stack:
+        sub, height = stack.pop()
+        if height > MAX_DEPTH:
+            raise error(_TOO_DEEP)
+        height += 1
+        if isinstance(sub, BinOp):
+            stack += ((sub.left, height), (sub.right, height))
+        elif isinstance(sub, Neg):
+            stack.append((sub.operand, height))
+        elif isinstance(sub, Call):
+            stack.append((sub.arg, height))
+    return node
+
+
 def _eval(node: Expr, bindings: Bindings) -> float:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         if node.name not in bindings:
             raise EvaluationError(f"unbound variable {node.name!r}")
-        value = float(bindings[node.name])
+        try:
+            value = float(bindings[node.name])
+        except (TypeError, ValueError, OverflowError):
+            raise EvaluationError(
+                f"variable {node.name!r} is bound to {shown(bindings[node.name])}, "
+                "not a real number"
+            ) from None
         if not math.isfinite(value):
             raise EvaluationError(f"variable {node.name!r} is bound to non-finite {value!r}")
         return value
@@ -270,13 +351,15 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     """Evaluate a program (or bare AST) under the given variable bindings.
 
     Raises:
-        EvaluationError: for an unbound variable, a non-finite binding, or a
-            numeric domain error (``log10`` of a non-positive value, division
-            by zero, fractional power of a negative base); the message names
-            the offending node.
+        EvaluationError: for an unbound variable, a binding that is not a
+            finite real number, a tree nested deeper than :data:`MAX_DEPTH`,
+            or a numeric domain error (``log10`` of a non-positive value,
+            division by zero, fractional power of a negative base); the
+            message names the offending node.
     """
-    ast = program.ast if isinstance(program, IndicatorProgram) else program
-    return _eval(ast, bindings)
+    if isinstance(program, IndicatorProgram):
+        return _eval(program.ast, bindings)  # the hot path: checked when built
+    return _eval(_checked(program, EvaluationError), bindings)
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:
@@ -286,9 +369,15 @@ def unparse(node: Expr | IndicatorProgram) -> str:
     structurally equal to ``ast``.  (A hand-built ``Num`` with a negative
     value serializes as a negation and therefore reparses as ``Neg``; the
     parser itself never produces negative literals.)
+
+    Raises:
+        IndicatorError: for a hand-built tree nested deeper than
+            :data:`MAX_DEPTH`.
     """
-    if isinstance(node, IndicatorProgram):
-        node = node.ast
+    return _unparse(_checked(node, IndicatorError))
+
+
+def _unparse(node: Expr) -> str:
     if isinstance(node, Num):
         value = node.value
         if value < 0.0 or math.copysign(1.0, value) < 0.0:
@@ -297,22 +386,29 @@ def unparse(node: Expr | IndicatorProgram) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{unparse(node.operand)})"
+        return f"(-{_unparse(node.operand)})"
     if isinstance(node, BinOp):
-        return f"({unparse(node.left)} {node.op} {unparse(node.right)})"
-    return f"{node.func}({unparse(node.arg)})"
+        return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
+    return f"{node.func}({_unparse(node.arg)})"
 
 
 def free_variables(node: Expr | IndicatorProgram) -> frozenset[str]:
-    """All variable names the expression reads."""
-    if isinstance(node, IndicatorProgram):
-        node = node.ast
+    """All variable names the expression reads.
+
+    Raises:
+        IndicatorError: for a hand-built tree nested deeper than
+            :data:`MAX_DEPTH`.
+    """
+    return _free_variables(_checked(node, IndicatorError))
+
+
+def _free_variables(node: Expr) -> frozenset[str]:
     if isinstance(node, Var):
         return frozenset((node.name,))
     if isinstance(node, Neg):
-        return free_variables(node.operand)
+        return _free_variables(node.operand)
     if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
+        return _free_variables(node.left) | _free_variables(node.right)
     if isinstance(node, Call):
-        return free_variables(node.arg)
+        return _free_variables(node.arg)
     return frozenset()

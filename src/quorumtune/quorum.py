@@ -9,9 +9,14 @@ form ``C(n-w, r) / C(n, r)`` under uniformly random quorum membership.  The
 *consistency level* is the complementary probability that a read returns the
 most recent version.
 
-Everything in this module is a pure function.  The inverse solver compares
-candidate levels with exact rational arithmetic, so ties, symmetry and
-tie-breaking are fully deterministic.
+Everything in this module is a pure function and keeps no cache.  The
+inverse solver never enumerates the spectrum: the level rises strictly in
+each quorum size on the weak region ``r + w <= n``, so it walks the
+boundary where the level crosses the target, keeping at most two weak
+candidates per row plus the one strong candidate ``(1, n)`` — O(n)
+candidates in O(n) exact integer steps.  Candidates are compared with exact
+integer arithmetic, so ties, symmetry and tie-breaking are fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from .errors import ConfigError, DomainError, SolveError, as_real, check_count
 
@@ -164,7 +169,6 @@ def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     return ConsistencyLevel((den - num) / den)
 
 
-@lru_cache(maxsize=None)
 def _spectrum(n: int) -> tuple[tuple[int, int, Fraction], ...]:
     """All canonical pairs (i, j, phi) with 1 <= i <= j <= n, phi exact."""
     return tuple(
@@ -190,6 +194,41 @@ def enumerate_levels(n: int) -> list[tuple[QuorumConfig, ConsistencyLevel]]:
     return [(cfg, consistency_level(cfg)) for *_key, cfg in keyed]
 
 
+def _bracketing_pairs(n: int, sp: int, q: int) -> Iterator[tuple[int, int, int, int]]:
+    """Weak canonical pairs whose levels bracket a target, as ``(num, den, i, j)``.
+
+    The target's staleness is ``sp / q`` and each pair's is ``num / den``
+    (``C(n-j, i) / C(n, i)``, as in :func:`_staleness_ratio`).  For each row
+    ``i`` in ``1..n//2`` this yields the last ``j`` in ``[i, n-i]`` whose
+    level is below the target and the first whose level is at or above it.
+    Staleness falls strictly in ``j`` and does not rise in ``i``, so that
+    boundary only moves left as ``i`` grows: the walk updates the ratio by
+    one exact factor per step, ``(n-j-i)/(n-j)`` along a row and
+    ``(n-j-i)/(n-i)`` down a column.  Once the diagonal pair ``(i, i)``
+    reaches the target every later row lies strictly farther from it, so
+    the walk stops there.  At ``n = 1`` there is no weak pair to yield.
+    """
+    i, j = 1, n - 1
+    num, den = 1, n
+    while True:
+        # Step left while (i, j) is at or above the target.
+        while j >= i and num * q <= sp * den:
+            num = num * (n - j + 1) // (n - j + 1 - i)
+            j -= 1
+        if j >= i:
+            yield num, den, i, j
+        if j < n - i:
+            yield num * (n - j - i) // (n - j), den, i, j + 1
+        if j < i or i == n // 2:
+            return
+        if j == n - i:  # (i + 1, j) would be strong
+            num = num * (n - j + 1) // (n - j + 1 - i)
+            j -= 1
+        num = num * (n - j - i) // (i + 1)
+        den = den * (n - i) // (i + 1)
+        i += 1
+
+
 def solve_quorum(
     phi_target: float,
     n: int,
@@ -197,10 +236,16 @@ def solve_quorum(
 ) -> QuorumConfig:
     """Find the quorum configuration whose level is nearest ``phi_target``.
 
-    The candidate set depends on ``options.mode`` (see :class:`SolveMode`).
-    Distances are compared exactly; ties are broken by smaller ``r + w``,
-    then by lexicographically smaller (smaller-element, larger-element).
-    The winning pair is oriented per ``options.read_write_bias``.
+    The search space depends on ``options.mode`` (see :class:`SolveMode`).
+    Only O(n) candidates are examined: per row ``r`` of the weak region the
+    two pairs whose levels bracket the target, found by a monotone walk
+    (:func:`_bracketing_pairs`), and in extended mode the single strong
+    pair ``(1, n)``.  Nothing is cached between calls, so memory stays
+    bounded in ``n``.  Distances are compared exactly with integer
+    arithmetic; ties are broken by smaller ``r + w``, then by
+    lexicographically smaller (smaller-element, larger-element), exactly as
+    an argmin over the whole spectrum would break them.  The winning pair
+    is oriented per ``options.read_write_bias``.
 
     Raises:
         DomainError: if ``phi_target`` is outside [0, 1].
@@ -215,18 +260,24 @@ def solve_quorum(
             f"faithful mode searches r in [1, n) and r + w <= n, which is empty for n={n}"
         )
 
-    target = Fraction(target_value)
-    best_key: tuple[Fraction, int, int, int] | None = None
-    best_pair: tuple[int, int] | None = None
-    for i, j, phi in _spectrum(n):
-        if options.mode is SolveMode.FAITHFUL and i + j > n:
-            continue
-        key = (abs(phi - target), i + j, i, j)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_pair = (i, j)
-    assert best_pair is not None  # n >= 1 guarantees at least one candidate
-    small, large = best_pair
+    p, q = target_value.as_integer_ratio()
+    sp = q - p  # the target's staleness is sp / q
+    candidates = list(_bracketing_pairs(n, sp, q))
+    if options.mode is SolveMode.EXTENDED:
+        # Every strong pair sits at level 1; (1, n) has the smallest key.
+        candidates.append((0, 1, 1, n))
+    # A candidate's distance |phi - target| is gap / (den * q), so two
+    # distances compare by cross-multiplying gap and den.
+    best = None
+    for num, den, i, j in candidates:
+        gap = abs(num * q - sp * den)
+        if best is not None:
+            best_gap, best_den, small, large = best
+            order = gap * best_den - best_gap * den
+            if order > 0 or (order == 0 and (i + j, i, j) > (small + large, small, large)):
+                continue
+        best = gap, den, i, j
+    _, _, small, large = best
     if options.read_write_bias is ReadWriteBias.WRITES_DOMINATE:
         return QuorumConfig(r=large, w=small, n=n)
     # BALANCED keeps the canonical r <= w order, which is also what

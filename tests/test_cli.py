@@ -211,6 +211,16 @@ class TestParseCommand:
         assert code == 2
         assert "position 4" in err
 
+    @pytest.mark.parametrize(
+        "expr,position",
+        [("(" * 3000 + "1" + ")" * 3000, 100), ("^".join(["2"] * 3000), 5799)],
+        ids=["parentheses", "powers"],
+    )
+    def test_deep_nesting_is_domain_error(self, capsys, expr, position):
+        code, _, err = run(capsys, "parse", "--expr", expr)
+        assert code == 2
+        assert f"position {position}" in err and "nests deeper" in err
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):

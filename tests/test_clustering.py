@@ -31,6 +31,7 @@ class TestSample:
             (0.0, 1.1),
             (0.0, float("nan")),
             pytest.param(10**400, 0.5, id="10**400-0.5"),
+            pytest.param(10**5000, 0.5, id="10**5000-0.5"),
         ],
     )
     def test_rejects_bad_values(self, chi, phi):
@@ -63,6 +64,16 @@ class TestSequential:
         assert only.count == 5
         assert only.chi_centroid == pytest.approx(np.mean(chis), rel=1e-12)
         assert only.phi_centroid == pytest.approx(np.mean(phis), rel=1e-12)
+
+    def test_centroid_of_huge_samples_stays_finite(self):
+        # centroid * count overflows here although the mean is finite.
+        clusterer = SequentialClusterer(capacity=1)
+        for _ in range(3):
+            clusterer.learn(Sample(1.5e308, 0.5))
+        assert clusterer.csv_snapshot() == "chi_centroid,phi_centroid,count\n1.5e+308,0.5,3\n"
+        clusterer.learn(Sample(-1.5e308, 0.5))
+        (only,) = clusterer.clusters
+        assert only.chi_centroid == pytest.approx(0.75e308, rel=1e-15)
 
     def test_capacity_bound_and_counts(self):
         clusterer = SequentialClusterer(capacity=3)

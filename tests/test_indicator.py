@@ -9,7 +9,9 @@ from oracles import random_ast, tuple_eval, tuple_to_source
 from quorumtune import (
     BinOp,
     Call,
+    MAX_DEPTH,
     EvaluationError,
+    IndicatorError,
     IndicatorProgram,
     Neg,
     Num,
@@ -59,6 +61,11 @@ class TestParse:
             ("$", 0),
             ("foo(3)", 0),
             ("1 +", 3),
+            pytest.param("(" * 3000 + "1" + ")" * 3000, 100, id="deep-parentheses"),
+            pytest.param("^".join(["2"] * 3000), 5799, id="deep-powers"),
+            pytest.param("-" * 3000 + "1", 2900, id="deep-negations"),
+            pytest.param("abs(" * 3000 + "1" + ")" * 3000, 403, id="deep-calls"),
+            pytest.param("+".join(["1"] * 3000), 199, id="long-sum"),
         ],
     )
     def test_errors_carry_positions(self, source, position):
@@ -66,6 +73,14 @@ class TestParse:
             parse(source)
         assert excinfo.value.position == position
         assert f"position {position}" in str(excinfo.value)
+
+    def test_nesting_up_to_the_limit_is_accepted(self):
+        # MAX_DEPTH - 1 negations over a literal make a tree MAX_DEPTH tall.
+        program = parse("-" * (MAX_DEPTH - 1) + "1")
+        assert evaluate(program, {}) == -1.0
+        assert parse(unparse(program)).ast == program.ast
+        assert evaluate(parse("+".join(["1"] * MAX_DEPTH)), {}) == MAX_DEPTH
+        assert evaluate(parse("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH), {}) == 1.0
 
     def test_unknown_function_rejected_at_parse_time(self):
         with pytest.raises(ParseError):
@@ -122,6 +137,11 @@ class TestEvaluate:
     def test_non_finite_binding_rejected(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("phi"), {"phi": float("inf")})
+
+    @pytest.mark.parametrize("bad", ["x", None, pytest.param(10**400, id="10**400")])
+    def test_non_number_binding_rejected(self, bad):
+        with pytest.raises(EvaluationError, match="'A'"):
+            evaluate(parse("A"), {"A": bad})
 
     def test_accepts_bare_ast_and_program_method(self):
         program = parse("phi*2")
@@ -192,6 +212,34 @@ class TestRandomizedAgainstOracle:
             tree = random_ast(rnd, depth=8)
             ast = parse(tuple_to_source(tree)).ast
             assert parse(unparse(ast)).ast == ast
+
+
+def negations(height):
+    """A hand-built chain of ``height - 1`` negations over ``Num(1.0)``."""
+    tree = Num(1.0)
+    for _ in range(height - 1):
+        tree = Neg(tree)
+    return tree
+
+
+@pytest.mark.parametrize("height", [MAX_DEPTH + 1, 5000])
+def test_hand_built_tree_past_the_limit_is_rejected(height):
+    tree = negations(height)
+    with pytest.raises(EvaluationError, match="deeper than"):
+        evaluate(tree, {})
+    with pytest.raises(IndicatorError, match="deeper than"):
+        unparse(tree)
+    with pytest.raises(IndicatorError, match="deeper than"):
+        free_variables(tree)
+    with pytest.raises(IndicatorError, match="deeper than"):
+        IndicatorProgram("-1", tree)
+
+
+def test_hand_built_tree_at_the_limit_is_accepted():
+    tree = negations(MAX_DEPTH)
+    assert evaluate(IndicatorProgram("-1", tree), {}) == -1.0
+    assert parse(unparse(tree)).ast == tree
+    assert free_variables(tree) == frozenset()
 
 
 def test_program_is_immutable():

@@ -1,6 +1,8 @@
 """Unit tests for the exact quorum consistency math."""
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import enumeration_staleness
 from quorumtune import (
+    PHI_FLOOR,
     ConfigError,
     ConsistencyLevel,
     DomainError,
@@ -60,6 +63,18 @@ class TestConsistencyLevelType:
             ConsistencyLevel(10**400)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        pytest.param(lambda: ConsistencyLevel(10**5000), "consistency level", id="level"),
+        pytest.param(lambda: solve_quorum(10**5000, 5), "phi_target", id="solve"),
+    ],
+)
+def test_rejects_int_too_long_to_print(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
 class TestStalenessProbability:
     def test_golden_examples(self):
         assert staleness_probability(QuorumConfig(2, 3, 5)) == 0.1
@@ -85,9 +100,38 @@ class TestStalenessProbability:
 
 def enumeration_fraction_fast(r: int, w: int, n: int) -> Fraction:
     """Closed-form C(n-w, r)/C(n, r) via exact binomials (independent arithmetic)."""
-    from math import comb
-
     return Fraction(comb(n - w, r), comb(n, r))
+
+
+def comb_argmin_table(n: int, faithful: bool) -> tuple[list[Fraction], list[tuple[int, int, int]]]:
+    """Every canonical pair's exact level from ``math.comb``, grouped by level.
+
+    Returns the distinct levels in ascending order and, for each, the
+    smallest tie-break key ``(i + j, i, j)`` among the pairs at that level.
+    Faithful mode drops the strong pairs ``i + j > n``.
+    """
+    best: dict[Fraction, tuple[int, int, int]] = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if faithful and i + j > n:
+                continue
+            level = 1 - Fraction(comb(n - j, i), comb(n, i))
+            key = (i + j, i, j)
+            if level not in best or key < best[level]:
+                best[level] = key
+    levels = sorted(best)
+    return levels, [best[level] for level in levels]
+
+
+def comb_argmin(levels, keys, target: float) -> tuple[int, int]:
+    """The canonical pair minimising ``(|phi - target|, i + j, i, j)``: only
+    the levels adjacent to the target in sorted order can be nearest."""
+    exact = Fraction(target)
+    k = bisect_left(levels, exact)
+    _, _, i, j = min(
+        (abs(levels[m] - exact), *keys[m]) for m in (k - 1, k) if 0 <= m < len(levels)
+    )
+    return i, j
 
 
 class TestConsistencyLevel:
@@ -231,3 +275,30 @@ class TestSolveQuorum:
                 best = min(abs(value - target) for value in table.values())
                 got = solve_quorum(i / 20, n)
                 assert abs(table[(got.r, got.w)] - target) == best
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_brute_force_optimality_large_n(self, n):
+        """The monotone walk agrees with an argmin over the whole spectrum, in
+        both modes and all three orientations, on targets at, between and
+        exactly midway between achievable levels."""
+        row_levels = [
+            float(1 - Fraction(comb(n - j, i), comb(n, i)))
+            for i in (1, 2, n // 2)
+            for j in range(i, n + 1)
+        ]
+        targets = [0.0, 1.0, PHI_FLOOR] + [k / 20 for k in range(21)] + row_levels
+        exact_ties = 0
+        for faithful in (False, True):
+            levels, keys = comb_argmin_table(n, faithful)
+            midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+            exact_ties += sum(Fraction(float(m)) == m for m in midpoints)
+            for target in targets + [float(m) for m in midpoints]:
+                i, j = comb_argmin(levels, keys, target)
+                mode = SolveMode.FAITHFUL if faithful else SolveMode.EXTENDED
+                for bias in ReadWriteBias:
+                    got = solve_quorum(target, n, SolveOptions(mode, bias))
+                    want = (j, i) if bias is ReadWriteBias.WRITES_DOMINATE else (i, j)
+                    assert (got.r, got.w) == want, (target, mode, bias)
+        # 0.25 at n = 50 and 0.125 at n = 100 lie exactly midway between two
+        # adjacent levels, so the equal-distance tie-break is exercised.
+        assert exact_ties >= 2

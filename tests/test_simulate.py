@@ -5,6 +5,7 @@ import pytest
 
 from quorumtune import (
     ConfigError,
+    EvaluationError,
     IncrementalClusterer,
     LoopConfig,
     QuorumConfig,
@@ -29,9 +30,11 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             sim(1, 1, 3, trials=trials)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 0.5, None])
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, 0.5, None, pytest.param(10**5000, id="10**5000")]
+    )
     def test_rejects_bad_seed(self, seed):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="seed"):
             sim(1, 1, 3, seed=seed)
 
     def test_rejects_non_config(self):
@@ -131,6 +134,20 @@ class TestAdaptationLoop:
         rng = np.random.Generator(np.random.PCG64(11))
         phis = 1.0 - rng.random(500) * (1.0 - 1e-6)
         assert only.phi_centroid == pytest.approx(float(np.mean(phis)), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", ["x", pytest.param(10**400, id="10**400")])
+    def test_non_number_constant_is_evaluation_error(self, bad):
+        loop = LoopConfig(
+            relation=parse("A*phi"),
+            clusterer=SequentialClusterer(5),
+            bootstrap_samples=10,
+            targets=[0.5],
+            seed=1,
+            n=5,
+            constants={"A": bad},
+        )
+        with pytest.raises(EvaluationError, match="'A'"):
+            run_adaptation_loop(loop)
 
     def test_empty_targets_empty_trace(self):
         loop = LoopConfig(
