@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Mapping, Union
 
 from .errors import EvaluationError, IndicatorError, ParseError, shown
@@ -232,7 +233,10 @@ class _Parser:
         kind, text, pos = self._peek()
         if kind == "number":
             self._advance()
-            return Num(float(text)), 1
+            value = float(text)
+            if not isfinite(value):
+                raise ParseError(f"number {text} is out of range", pos)
+            return Num(value), 1
         if kind == "ident":
             self._advance()
             if self._peek()[:2] != ("op", "("):
@@ -266,8 +270,9 @@ def parse(source: str) -> IndicatorProgram:
     """Parse indicator source text into an :class:`IndicatorProgram`.
 
     Raises:
-        ParseError: on malformed input or an unknown function name; the
-            error carries the 0-based character offset of the problem.
+        ParseError: on malformed input, an unknown function name or a
+            number too large for a double; the error carries the 0-based
+            character offset of the problem.
     """
     if not isinstance(source, str):
         raise ParseError(f"expected source text, got {type(source).__name__}", 0)
@@ -303,8 +308,32 @@ def _checked(node: Expr | IndicatorProgram, error: type[IndicatorError]) -> Expr
 
 
 def _eval(node: Expr, bindings: Bindings) -> float:
-    if isinstance(node, Num):
-        return node.value
+    # Branches in order of how often parsed relations reach them.
+    if isinstance(node, BinOp):
+        left = _eval(node.left, bindings)
+        right = _eval(node.right, bindings)
+        op = node.op
+        if op == "+":
+            return left + right
+        if op == "*":
+            return left * right
+        if op == "-":
+            return left - right
+        if op == "/":
+            if right == 0.0:
+                raise EvaluationError(f"division by zero in {unparse(node)!r}")
+            if not isfinite(right):  # x / inf would hide an overflow as 0
+                raise _overflow(node.right, right)
+            return left / right
+        # pow(inf, 0), pow(0.5, inf) and the like would hide an overflow too.
+        if not isfinite(left):
+            raise _overflow(node.left, left)
+        if not isfinite(right):
+            raise _overflow(node.right, right)
+        try:
+            return math.pow(left, right)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"domain error in {unparse(node)!r}: {exc}") from None
     if isinstance(node, Var):
         if node.name not in bindings:
             raise EvaluationError(f"unbound variable {node.name!r}")
@@ -315,51 +344,51 @@ def _eval(node: Expr, bindings: Bindings) -> float:
                 f"variable {node.name!r} is bound to {shown(bindings[node.name])}, "
                 "not a real number"
             ) from None
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise EvaluationError(f"variable {node.name!r} is bound to non-finite {value!r}")
         return value
+    if isinstance(node, Num):
+        return node.value
     if isinstance(node, Neg):
         return -_eval(node.operand, bindings)
-    if isinstance(node, Call):
-        value = _eval(node.arg, bindings)
-        if node.func == "log10":
-            if value <= 0.0:
-                raise EvaluationError(
-                    f"domain error in {unparse(node)!r}: log10 argument {value!r} is not positive"
-                )
-            return math.log10(value)
-        return abs(value)
-    left = _eval(node.left, bindings)
-    right = _eval(node.right, bindings)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if right == 0.0:
-            raise EvaluationError(f"division by zero in {unparse(node)!r}")
-        return left / right
-    try:
-        return math.pow(left, right)
-    except (ValueError, OverflowError) as exc:
-        raise EvaluationError(f"domain error in {unparse(node)!r}: {exc}") from None
+    value = _eval(node.arg, bindings)
+    if node.func == "log10":
+        if value <= 0.0:
+            raise EvaluationError(
+                f"domain error in {unparse(node)!r}: log10 argument {value!r} is not positive"
+            )
+        return math.log10(value)
+    return abs(value)
+
+
+def _overflow(node: Expr, value: float) -> EvaluationError:
+    return EvaluationError(f"overflow: {unparse(node)!r} evaluates to {value!r}")
 
 
 def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     """Evaluate a program (or bare AST) under the given variable bindings.
 
+    Every result is finite.  Bindings and parsed literals are finite, so a
+    non-finite value can only come from an overflow; ``+``, ``-``, ``*``,
+    unary minus, ``abs`` and ``log10`` keep it non-finite, so it is caught
+    once at the root, while ``/`` and ``^`` (which could turn it back into
+    a finite number) check their operands.
+
     Raises:
         EvaluationError: for an unbound variable, a binding that is not a
             finite real number, a tree nested deeper than :data:`MAX_DEPTH`,
-            or a numeric domain error (``log10`` of a non-positive value,
-            division by zero, fractional power of a negative base); the
-            message names the offending node.
+            an overflow, or a numeric domain error (``log10`` of a
+            non-positive value, division by zero, fractional power of a
+            negative base); the message names the offending node.
     """
     if isinstance(program, IndicatorProgram):
-        return _eval(program.ast, bindings)  # the hot path: checked when built
-    return _eval(_checked(program, EvaluationError), bindings)
+        ast = program.ast  # the hot path: checked when built
+    else:
+        ast = _checked(program, EvaluationError)
+    value = _eval(ast, bindings)
+    if not isfinite(value):
+        raise _overflow(ast, value)
+    return value
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:

@@ -240,7 +240,9 @@ def solve_quorum(
     Only O(n) candidates are examined: per row ``r`` of the weak region the
     two pairs whose levels bracket the target, found by a monotone walk
     (:func:`_bracketing_pairs`), and in extended mode the single strong
-    pair ``(1, n)``.  Nothing is cached between calls, so memory stays
+    pair ``(1, n)``; at a target of exactly 1, extended mode examines only
+    ``(1, n)``.  A target just below 1 still walks all n/2 rows on integers
+    of up to n bits.  Nothing is cached between calls, so memory stays
     bounded in ``n``.  Distances are compared exactly with integer
     arithmetic; ties are broken by smaller ``r + w``, then by
     lexicographically smaller (smaller-element, larger-element), exactly as
@@ -262,7 +264,12 @@ def solve_quorum(
 
     p, q = target_value.as_integer_ratio()
     sp = q - p  # the target's staleness is sp / q
-    candidates = list(_bracketing_pairs(n, sp, q))
+    if options.mode is SolveMode.EXTENDED and sp == 0:
+        # Every weak level is below 1, so at a target of 1 the strong pair
+        # (1, n) wins outright and the walk over the weak rows is skipped.
+        candidates = []
+    else:
+        candidates = list(_bracketing_pairs(n, sp, q))
     if options.mode is SolveMode.EXTENDED:
         # Every strong pair sits at level 1; (1, n) has the smallest key.
         candidates.append((0, 1, 1, n))

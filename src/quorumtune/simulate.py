@@ -1,12 +1,13 @@
 """Monte-Carlo replica simulation and the closed adaptation loop.
 
-:func:`empirical_staleness` estimates the staleness probability by actually
-drawing read and write quorums — a mechanism-level oracle that shares no
-code with the closed-form math in :mod:`quorumtune.quorum`.  Each trial
-draws a uniformly random ``w``-subset of the ``n`` replicas (the replicas
-that acknowledged the last write) and an independent uniformly random
-``r``-subset (the replicas answering the read); the read is stale exactly
-when the subsets are disjoint.
+:func:`empirical_staleness` estimates the staleness probability by counting
+simulated reads.  A read is stale when its ``r`` replicas miss the ``w``
+that took the last write.  Replicas are exchangeable, so the write quorum is
+held fixed and only the read is drawn: the number of read replicas holding
+the write is hypergeometric (``r`` drawn from ``w`` good and ``n - w`` bad),
+and the read is stale when it is 0.  numpy's urn or HRUA sampler draws it
+and shares no code with the integer ratio in :mod:`quorumtune.quorum`.
+Cost: O(trials) time and O(``_CHUNK``) memory, independent of ``n``.
 
 :func:`run_adaptation_loop` wires the whole toolkit together: monitor an
 application's (chi, phi) samples, learn the mapping with a clusterer, then
@@ -14,9 +15,12 @@ for each requested indicator value look up a level, solve it to a quorum
 configuration, and report the indicator value actually achieved.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
-every run is reproducible bit for bit.  Within a simulation, write-quorum
-draws precede read-quorum draws chunk by chunk (fixed chunk size
-``_CHUNK``), which pins the random stream layout.
+every run is reproducible bit for bit on a given numpy version.  The
+simulator's stream layout is part of that contract: trials are taken in
+chunks of ``_CHUNK`` and each chunk is one ``Generator.hypergeometric(w,
+n - w, r, size=rows)`` call, in chunk order.  numpy may change how its
+samplers consume the stream between feature releases (NEP 19), so pinned
+estimates hold for the numpy version in use.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ __all__ = [
 PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches; the constant is part of the
-# reproducibility contract (it determines how the random stream is consumed).
+# reproducibility contract (it determines how the random stream is consumed)
+# and bounds the simulator's memory.
 _CHUNK = 1 << 16
 
 
@@ -68,21 +73,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.config, QuorumConfig):
             raise ConfigError(f"config must be a QuorumConfig, got {self.config!r}")
+        # numpy's hypergeometric sampler takes fewer than 10**9 items a side.
+        if self.config.n >= 10**9:
+            raise ConfigError(f"n must be < 10**9 to simulate, got n={self.config.n}")
         check_count(self.trials, "trials")
         check_seed(self.seed)
-
-
-def _random_subset_mask(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
-    """``rows`` independent uniform random k-subsets of {0..n-1}, as a bool mask.
-
-    The k smallest of n i.i.d. uniform keys form a uniformly random
-    k-subset (ties have probability zero).
-    """
-    keys = rng.random((rows, n))
-    chosen = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    mask = np.zeros((rows, n), dtype=bool)
-    np.put_along_axis(mask, chosen, True, axis=1)
-    return mask
 
 
 def empirical_staleness(sim: SimConfig) -> float:
@@ -96,10 +91,10 @@ def empirical_staleness(sim: SimConfig) -> float:
     remaining = sim.trials
     while remaining > 0:
         rows = min(remaining, _CHUNK)
-        write_mask = _random_subset_mask(rng, rows, cfg.n, cfg.w)
-        read_mask = _random_subset_mask(rng, rows, cfg.n, cfg.r)
-        intersects = np.any(write_mask & read_mask, axis=1)
-        stale += int(rows - np.count_nonzero(intersects))
+        # Per trial, how many of the r read replicas hold the last write.
+        overlap = rng.hypergeometric(cfg.w, cfg.n - cfg.w, cfg.r, size=rows)
+        stale += rows - int(np.count_nonzero(overlap))
+        del overlap  # so that one chunk is alive at a time
         remaining -= rows
     return stale / sim.trials
 

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +84,23 @@ class TestSimulate:
 
         code2, out2, _ = run(capsys, *args)
         assert out2 == out
+
+    def test_readme_example(self, capsys):
+        # The README's pinned output, re-run so the documentation cannot drift.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        (index,) = [k for k, line in enumerate(readme) if line.startswith("$ quorumtune simulate")]
+        code, out, _ = run(capsys, *shlex.split(readme[index])[2:])
+        assert code == 0
+        assert out == readme[index + 1] + "\n"
+
+    def test_n_beyond_the_sampler_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--r", "1", "--w", "1", "--n", "1000000000",
+            "--trials", "10", "--seed", "1",
+        )  # fmt: skip
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n must be < 10**9")
 
 
 class TestEvaluate:

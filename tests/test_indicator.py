@@ -66,6 +66,8 @@ class TestParse:
             pytest.param("-" * 3000 + "1", 2900, id="deep-negations"),
             pytest.param("abs(" * 3000 + "1" + ")" * 3000, 403, id="deep-calls"),
             pytest.param("+".join(["1"] * 3000), 199, id="long-sum"),
+            pytest.param("1e400*0+phi", 0, id="huge-literal"),
+            pytest.param("phi + 2.5E+999", 6, id="huge-literal-later"),
         ],
     )
     def test_errors_carry_positions(self, source, position):
@@ -137,6 +139,31 @@ class TestEvaluate:
     def test_non_finite_binding_rejected(self):
         with pytest.raises(EvaluationError):
             evaluate(parse("phi"), {"phi": float("inf")})
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "phi*1e308*10",
+            "1/(phi*1e308*10)",
+            "(phi*1e308*10)^0",
+            "0.5^(phi*1e308*10)",
+            "phi*1e308*10 - phi*1e308*10",
+            "abs(-phi*1e308*10)",
+            "log10(phi*1e308*10)",
+        ],
+    )
+    def test_overflow_is_evaluation_error(self, source):
+        with pytest.raises(EvaluationError, match="overflow"):
+            evaluate(parse(source), {"phi": 1.0})
+
+    def test_hand_built_infinite_literal_is_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="overflow"):
+            evaluate(Num(math.inf), {})
+        with pytest.raises(EvaluationError, match="overflow"):
+            evaluate(BinOp("/", Num(1.0), Num(math.inf)), {})
+
+    def test_underflow_is_not_an_error(self):
+        assert evaluate(parse("phi*1e-400 + 1/(phi*1e308)/1e308"), {"phi": 1.0}) == 0.0
 
     @pytest.mark.parametrize("bad", ["x", None, pytest.param(10**400, id="10**400")])
     def test_non_number_binding_rejected(self, bad):

@@ -1,5 +1,6 @@
 """Unit tests for the exact quorum consistency math."""
 
+import time
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb
@@ -275,6 +276,17 @@ class TestSolveQuorum:
                 best = min(abs(value - target) for value in table.values())
                 got = solve_quorum(i / 20, n)
                 assert abs(table[(got.r, got.w)] - target) == best
+
+    @pytest.mark.parametrize("bias", list(ReadWriteBias))
+    def test_target_one_takes_the_strong_pair_at_once(self, bias):
+        # A walk over all n/2 weak rows on n-bit integers takes seconds here.
+        n = 10**5
+        start = time.perf_counter()
+        got = solve_quorum(1.0, n, SolveOptions(SolveMode.EXTENDED, bias))
+        elapsed = time.perf_counter() - start
+        want = (n, 1) if bias is ReadWriteBias.WRITES_DOMINATE else (1, n)
+        assert (got.r, got.w) == want
+        assert elapsed < 0.05
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_brute_force_optimality_large_n(self, n):

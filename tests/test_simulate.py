@@ -1,5 +1,8 @@
 """Unit tests for the Monte-Carlo simulator and the closed adaptation loop."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,12 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(config=(1, 1, 3), trials=10, seed=0)
 
+    def test_rejects_n_beyond_the_sampler(self):
+        # numpy's hypergeometric sampler takes fewer than 10**9 items a side.
+        with pytest.raises(ConfigError, match=r"n must be < 10\*\*9"):
+            sim(1, 1, 10**9, trials=10)
+        assert empirical_staleness(sim(1, 1, 10**9 - 1, trials=10)) == 1.0
+
 
 class TestEmpiricalStaleness:
     def test_strong_consistency_never_stale(self):
@@ -60,6 +69,38 @@ class TestEmpiricalStaleness:
         assert first == second
         third = empirical_staleness(sim(1, 2, 6, seed=78))
         assert third != first  # fixed seeds, so this inequality is stable
+
+    def test_stream_layout(self):
+        # The documented contract: one hypergeometric call per chunk of
+        # _CHUNK trials, in chunk order, each trial stale at overlap 0.
+        trials = 70_000
+        rng = np.random.Generator(np.random.PCG64(5))
+        stale = 0
+        for rows in (65_536, trials - 65_536):
+            stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
+        assert empirical_staleness(sim(2, 3, 7, trials=trials, seed=5)) == stale / trials
+
+    @pytest.mark.parametrize(
+        "r, w, n", [(30, 30, 1000), (1000, 1000, 10**6), (2, 10**7, 10**8 - 1)]
+    )
+    def test_matches_analytic_at_large_n(self, r, w, n):
+        cfg = QuorumConfig(r, w, n)
+        analytic = staleness_probability(cfg)
+        trials = 100_000
+        estimate = empirical_staleness(sim(r, w, n, trials=trials, seed=n + r))
+        sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
+        assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
+
+    def test_memory_bounded_in_n(self):
+        config = sim(1, 1, 10**8, trials=200_000)
+        empirical_staleness(sim(1, 1, 5, trials=1))  # first-call imports aside
+        tracemalloc.start()
+        try:
+            assert empirical_staleness(config) > 0.99
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_chunk_boundary(self):
         # More trials than one internal batch; still deterministic and sane.
@@ -147,6 +188,19 @@ class TestAdaptationLoop:
             constants={"A": bad},
         )
         with pytest.raises(EvaluationError, match="'A'"):
+            run_adaptation_loop(loop)
+
+    def test_overflowing_relation_is_evaluation_error(self):
+        # The overflow is named, before an inf chi reaches the clusterer.
+        loop = LoopConfig(
+            relation=parse("phi*1e308*1e308"),
+            clusterer=SequentialClusterer(5),
+            bootstrap_samples=10,
+            targets=[0.5],
+            seed=1,
+            n=5,
+        )
+        with pytest.raises(EvaluationError, match="overflow"):
             run_adaptation_loop(loop)
 
     def test_empty_targets_empty_trace(self):
