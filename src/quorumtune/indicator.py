@@ -2,7 +2,8 @@
 
 Applications declare how their scalar performance indicator ``chi`` is
 computed from the consistency level ``phi`` (and named constants) as a small
-expression, parsed once and evaluated many times by the controller::
+expression, parsed and compiled once and evaluated many times by the
+controller::
 
     program = parse("A*phi^3 + B*phi^2 + C*phi + D")
     chi = evaluate(program, {"A": 1, "B": 1, "C": 0, "D": 0, "phi": 0.5})
@@ -26,6 +27,19 @@ The AST is a tree of frozen dataclasses with structural equality, and
 :func:`unparse` emits a fully parenthesized form that re-parses to a
 structurally identical tree.
 
+Building an :class:`IndicatorProgram` compiles its AST to one generated
+Python function of the bindings: straight-line code with one statement per
+node, in the order a recursive evaluation would visit them, so each error is
+the one that evaluation would raise first.  Generating source text is safe
+here because nothing from the input reaches it unquoted: a parsed name
+matches ``[A-Za-z][A-Za-z0-9_]*`` and is emitted under a ``v_`` prefix
+(never a keyword, a temporary or a helper), and as a dictionary key
+through ``repr``; a parsed literal is a finite float, emitted with
+``repr``.  Anything else a hand-built tree holds, and each node that an
+error message would name, is passed to the function as a global, not as
+text.  So the generated source grows linearly in the expression's length,
+as do the time and memory to compile it.
+
 Nesting is bounded by :data:`MAX_DEPTH`: the parser rejects source with
 more nested parentheses than that, or whose tree is taller than that (a
 long ``1+1+...`` sum is a tall left-leaning tree, ``2^2^...`` a tall
@@ -39,9 +53,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import EvaluationError, IndicatorError, ParseError, shown
 
@@ -98,7 +112,7 @@ Bindings = Mapping[str, float]
 FUNCTIONS = ("log10", "abs")
 
 # Deepest nesting accepted anywhere.  A level of parentheses costs the parser
-# five interpreter frames and a tree level costs the evaluator one, so this
+# five interpreter frames and a tree level costs the compiler one, so this
 # stays well inside Python's default recursion limit of 1000.
 MAX_DEPTH = 100
 
@@ -109,6 +123,10 @@ _TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 class IndicatorProgram:
     """A parsed indicator expression: the original source plus its AST.
 
+    The AST is compiled once, when the program is built, to the function
+    that :func:`evaluate` calls; that function takes no part in equality,
+    hashing or ``repr``, and a pickled or copied program compiles anew.
+
     Raises:
         IndicatorError: for an AST taller than :data:`MAX_DEPTH`, which only
             a hand-built one can be.
@@ -116,9 +134,13 @@ class IndicatorProgram:
 
     source: str
     ast: Expr
+    _run: Callable[[Bindings], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _checked(self.ast, IndicatorError)
+        object.__setattr__(self, "_run", _compile(_checked(self.ast, IndicatorError)))
+
+    def __reduce__(self):
+        return type(self), (self.source, self.ast)
 
     def evaluate(self, bindings: Bindings) -> float:
         return evaluate(self, bindings)
@@ -128,11 +150,13 @@ class IndicatorProgram:
         return free_variables(self)
 
 
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<ident>{_IDENT})
   | (?P<op>[-+*/^()])
     """,
     re.VERBOSE,
@@ -307,62 +331,154 @@ def _checked(node: Expr | IndicatorProgram, error: type[IndicatorError]) -> Expr
     return node
 
 
-def _eval(node: Expr, bindings: Bindings) -> float:
-    # Branches in order of how often parsed relations reach them.
-    if isinstance(node, BinOp):
-        left = _eval(node.left, bindings)
-        right = _eval(node.right, bindings)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "*":
-            return left * right
-        if op == "-":
-            return left - right
-        if op == "/":
-            if right == 0.0:
-                raise EvaluationError(f"division by zero in {unparse(node)!r}")
-            if not isfinite(right):  # x / inf would hide an overflow as 0
-                raise _overflow(node.right, right)
-            return left / right
-        # pow(inf, 0), pow(0.5, inf) and the like would hide an overflow too.
-        if not isfinite(left):
-            raise _overflow(node.left, left)
-        if not isfinite(right):
-            raise _overflow(node.right, right)
-        try:
-            return math.pow(left, right)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"domain error in {unparse(node)!r}: {exc}") from None
-    if isinstance(node, Var):
-        if node.name not in bindings:
-            raise EvaluationError(f"unbound variable {node.name!r}")
-        try:
-            value = float(bindings[node.name])
-        except (TypeError, ValueError, OverflowError):
-            raise EvaluationError(
-                f"variable {node.name!r} is bound to {shown(bindings[node.name])}, "
-                "not a real number"
-            ) from None
-        if not isfinite(value):
-            raise EvaluationError(f"variable {node.name!r} is bound to non-finite {value!r}")
-        return value
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval(node.operand, bindings)
-    value = _eval(node.arg, bindings)
-    if node.func == "log10":
-        if value <= 0.0:
-            raise EvaluationError(
-                f"domain error in {unparse(node)!r}: log10 argument {value!r} is not positive"
-            )
-        return math.log10(value)
-    return abs(value)
+# The errors generated code raises, with the messages the tree walk had.
+def _unbound(name: str) -> EvaluationError:
+    return EvaluationError(f"unbound variable {name!r}")
+
+
+def _not_real(name: str, value: object) -> EvaluationError:
+    return EvaluationError(f"variable {name!r} is bound to {shown(value)}, not a real number")
+
+
+def _non_finite(name: str, value: float) -> EvaluationError:
+    return EvaluationError(f"variable {name!r} is bound to non-finite {value!r}")
 
 
 def _overflow(node: Expr, value: float) -> EvaluationError:
-    return EvaluationError(f"overflow: {unparse(node)!r} evaluates to {value!r}")
+    return EvaluationError(f"overflow: {_unparse(node)!r} evaluates to {value!r}")
+
+
+def _zero_division(node: Expr) -> EvaluationError:
+    return EvaluationError(f"division by zero in {_unparse(node)!r}")
+
+
+def _domain_error(node: Expr, detail: object) -> EvaluationError:
+    return EvaluationError(f"domain error in {_unparse(node)!r}: {detail}")
+
+
+# What generated code reads besides its argument, its locals and the builtins.
+_RUNTIME = {
+    "_isfinite": isfinite,
+    "_pow": math.pow,
+    "_log10": math.log10,
+    "_unbound": _unbound,
+    "_not_real": _not_real,
+    "_non_finite": _non_finite,
+    "_overflow": _overflow,
+    "_zero_division": _zero_division,
+    "_domain_error": _domain_error,
+}
+
+_IDENT_RE = re.compile(_IDENT)
+
+
+def _compile(ast: Expr) -> Callable[[Bindings], float]:
+    """One generated Python function that evaluates ``ast`` under bindings.
+
+    The body is straight-line code in post-order, left before right, and
+    keeps each interior node's value in a temporary ``t<k>``.  A variable is
+    read into ``v_<name>`` at its first use: ``name in bindings``, then
+    ``float(bindings[name])``, then the finiteness test.  A node's checks
+    come just before its operation: ``/`` tests its divisor for zero and for
+    an overflow, ``^`` tests both operands for an overflow and maps the
+    errors of ``math.pow``, ``log10`` tests its domain, and the root result
+    must be finite.  An operand that is a variable or a finite literal is
+    finite already, so its overflow test is left out.
+
+    A failed check raises through one of the helpers above, which formats
+    the message from the variable's name or from the node, passed in as a
+    global ``k<k>``.  Message text baked in here would repeat each checked
+    node's subtree, so the source would grow as the tree's size times its
+    height.
+    """
+    lines: list[str] = []
+    namespace = dict(_RUNTIME)
+    local_of: dict[object, str] = {}
+
+    def global_(value: object) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def literal(value: object) -> str:
+        # A parsed tree holds only names and finite floats, which repr
+        # writes as literals; anything a hand-built tree holds goes global.
+        if type(value) is str or (type(value) is float and isfinite(value)):
+            return repr(value)
+        return global_(value)
+
+    def temp(expr: str) -> str:
+        name = f"t{len(lines)}"
+        lines.append(f"{name} = {expr}")
+        return name
+
+    def check_finite(node: Expr, operand: str) -> None:
+        lines.append(f"if not _isfinite({operand}): raise _overflow({global_(node)}, {operand})")
+
+    def visit(node: Expr) -> tuple[str, bool]:
+        """The operand that holds ``node``'s value once the lines so far
+        have run, and whether that value is known to be finite."""
+        if isinstance(node, BinOp):
+            left, left_finite = visit(node.left)
+            right, right_finite = visit(node.right)
+            op = node.op
+            if op in ("+", "*", "-"):
+                return temp(f"{left} {op} {right}"), False
+            if op == "/":
+                lines.append(f"if {right} == 0.0: raise _zero_division({global_(node)})")
+                if not right_finite:  # x / inf would hide an overflow as 0
+                    check_finite(node.right, right)
+                return temp(f"{left} / {right}"), False
+            # pow(inf, 0), pow(0.5, inf) and the like would hide an overflow too.
+            if not left_finite:
+                check_finite(node.left, left)
+            if not right_finite:
+                check_finite(node.right, right)
+            result = f"t{len(lines)}"
+            lines.append(f"try: {result} = _pow({left}, {right})")
+            lines.append(
+                "except (ValueError, OverflowError) as e: "
+                f"raise _domain_error({global_(node)}, e) from None"
+            )
+            return result, False
+        if isinstance(node, Var):
+            name = node.name
+            local = local_of.get(name)
+            if local is None:
+                if isinstance(name, str) and _IDENT_RE.fullmatch(name):
+                    local = f"v_{name}"
+                else:
+                    local = f"v{len(local_of)}"
+                local_of[name] = local
+                key = literal(name)
+                lines.extend([
+                    f"if {key} not in bindings: raise _unbound({key})",
+                    f"try: {local} = float(bindings[{key}])",
+                    "except (TypeError, ValueError, OverflowError): "
+                    f"raise _not_real({key}, bindings[{key}]) from None",
+                    f"if not _isfinite({local}): raise _non_finite({key}, {local})",
+                ])
+            return local, True
+        if isinstance(node, Num):
+            value = node.value
+            return literal(value), type(value) is float and isfinite(value)
+        if isinstance(node, Neg):
+            return temp(f"-{visit(node.operand)[0]}"), False
+        arg = visit(node.arg)[0]
+        if node.func == "log10":
+            lines.append(
+                f"if {arg} <= 0.0: raise _domain_error({global_(node)}, "
+                f"'log10 argument ' + repr({arg}) + ' is not positive')"
+            )
+            return temp(f"_log10({arg})"), False
+        return temp(f"abs({arg})"), False
+
+    result, finite = visit(ast)
+    if not finite:
+        check_finite(ast, result)
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def _indicator(bindings):\n{body}    return {result}\n", namespace)
+    return namespace["_indicator"]
 
 
 def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
@@ -374,6 +490,9 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     once at the root, while ``/`` and ``^`` (which could turn it back into
     a finite number) check their operands.
 
+    A program runs the function compiled when it was built; a bare AST is
+    checked and compiled on each call.
+
     Raises:
         EvaluationError: for an unbound variable, a binding that is not a
             finite real number, a tree nested deeper than :data:`MAX_DEPTH`,
@@ -382,13 +501,8 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
             negative base); the message names the offending node.
     """
     if isinstance(program, IndicatorProgram):
-        ast = program.ast  # the hot path: checked when built
-    else:
-        ast = _checked(program, EvaluationError)
-    value = _eval(ast, bindings)
-    if not isfinite(value):
-        raise _overflow(ast, value)
-    return value
+        return program._run(bindings)  # the hot path: compiled when built
+    return _compile(_checked(program, EvaluationError))(bindings)
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:

@@ -240,9 +240,10 @@ def solve_quorum(
     Only O(n) candidates are examined: per row ``r`` of the weak region the
     two pairs whose levels bracket the target, found by a monotone walk
     (:func:`_bracketing_pairs`), and in extended mode the single strong
-    pair ``(1, n)``; at a target of exactly 1, extended mode examines only
-    ``(1, n)``.  A target just below 1 still walks all n/2 rows on integers
-    of up to n bits.  Nothing is cached between calls, so memory stays
+    pair ``(1, n)``.  A target of exactly 1 examines no candidate: the
+    answer is ``(1, n)`` in extended mode and ``(n // 2, n - n // 2)`` in
+    faithful mode.  A target just below 1 still walks all n/2 rows on
+    integers of up to n bits.  Nothing is cached between calls, so memory stays
     bounded in ``n``.  Distances are compared exactly with integer
     arithmetic; ties are broken by smaller ``r + w``, then by
     lexicographically smaller (smaller-element, larger-element), exactly as
@@ -262,29 +263,33 @@ def solve_quorum(
             f"faithful mode searches r in [1, n) and r + w <= n, which is empty for n={n}"
         )
 
+    extended = options.mode is SolveMode.EXTENDED
     p, q = target_value.as_integer_ratio()
     sp = q - p  # the target's staleness is sp / q
-    if options.mode is SolveMode.EXTENDED and sp == 0:
-        # Every weak level is below 1, so at a target of 1 the strong pair
-        # (1, n) wins outright and the walk over the weak rows is skipped.
-        candidates = []
+    if sp == 0:
+        # At a target of 1 the highest level wins outright.  Extended mode
+        # reaches 1 itself with any strong pair, and (1, n) has the smallest
+        # key among them.  In faithful mode it is the weak pair with the least
+        # staleness: 1 / C(n, r) on the boundary r + w = n, least at the
+        # middle row; inside the boundary a row's pairs are staler still.
+        small, large = (1, n) if extended else (n // 2, n - n // 2)
     else:
         candidates = list(_bracketing_pairs(n, sp, q))
-    if options.mode is SolveMode.EXTENDED:
-        # Every strong pair sits at level 1; (1, n) has the smallest key.
-        candidates.append((0, 1, 1, n))
-    # A candidate's distance |phi - target| is gap / (den * q), so two
-    # distances compare by cross-multiplying gap and den.
-    best = None
-    for num, den, i, j in candidates:
-        gap = abs(num * q - sp * den)
-        if best is not None:
-            best_gap, best_den, small, large = best
-            order = gap * best_den - best_gap * den
-            if order > 0 or (order == 0 and (i + j, i, j) > (small + large, small, large)):
-                continue
-        best = gap, den, i, j
-    _, _, small, large = best
+        if extended:
+            # Every strong pair sits at level 1; (1, n) has the smallest key.
+            candidates.append((0, 1, 1, n))
+        # A candidate's distance |phi - target| is gap / (den * q), so two
+        # distances compare by cross-multiplying gap and den.
+        best = None
+        for num, den, i, j in candidates:
+            gap = abs(num * q - sp * den)
+            if best is not None:
+                best_gap, best_den, small, large = best
+                order = gap * best_den - best_gap * den
+                if order > 0 or (order == 0 and (i + j, i, j) > (small + large, small, large)):
+                    continue
+            best = gap, den, i, j
+        _, _, small, large = best
     if options.read_write_bias is ReadWriteBias.WRITES_DOMINATE:
         return QuorumConfig(r=large, w=small, n=n)
     # BALANCED keeps the canonical r <= w order, which is also what

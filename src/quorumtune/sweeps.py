@@ -204,18 +204,21 @@ def _run_point(
     bootstrap: int,
     tests: int,
 ) -> float:
+    # The bindings of relation.chi, built once; only phi changes.
+    program, bindings = relation.program, relation.constants
     draws = rng.random(bootstrap)
     phis = 1.0 - draws * (1.0 - PHI_FLOOR)
     for phi in phis:
         phi = float(phi)
-        clusterer.learn(Sample(relation.chi(phi), phi))
+        bindings["phi"] = phi
+        clusterer.learn(Sample(evaluate(program, bindings), phi))
     lo, hi = chi_range(relation)
     targets = lo + rng.random(tests) * (hi - lo)
     squares = 0.0
     for target in targets:
         target = float(target)
-        level = clusterer.lookup(target)
-        squares += (target - relation.chi(level.phi)) ** 2
+        bindings["phi"] = clusterer.lookup(target).phi
+        squares += (target - evaluate(program, bindings)) ** 2
     return math.sqrt(squares / tests)
 
 

@@ -1,6 +1,9 @@
 """Unit tests for the indicator expression language."""
 
+import collections
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -278,3 +281,82 @@ def test_program_is_immutable():
 def test_parse_requires_text():
     with pytest.raises(ParseError):
         parse(None)  # type: ignore[arg-type]
+
+
+# Messages recorded from the tree-walking evaluator: the first failure in
+# post-order (left before right) is the one reported.
+@pytest.mark.parametrize(
+    "source, bindings, message",
+    [
+        ("1/0 + x", {}, "division by zero in '(1.0 / 0.0)'"),
+        ("x + 1/0", {}, "unbound variable 'x'"),
+        (
+            "log10(-phi) ^ (1/0)",
+            {"phi": 1.0},
+            "domain error in 'log10((-phi))': log10 argument -1.0 is not positive",
+        ),
+        (
+            "(phi*10)^400 + 1/0",
+            {"phi": 1.0},
+            "domain error in '((phi * 10.0) ^ 400.0)': math range error",
+        ),
+        ("1/0 + (phi*10)^400", {"phi": 1.0}, "division by zero in '(1.0 / 0.0)'"),
+        (
+            "(phi*10)^400 * (1/(phi-phi))",
+            {"phi": 2.0},
+            "domain error in '((phi * 10.0) ^ 400.0)': math range error",
+        ),
+        ("(-2)^0.5 + x", {}, "domain error in '((-2.0) ^ 0.5)': math domain error"),
+        ("A", {"A": "inf"}, "variable 'A' is bound to non-finite inf"),
+        ("A", {"A": None}, "variable 'A' is bound to None, not a real number"),
+        (
+            "phi*1e308*10 - phi*1e308*10",
+            {"phi": 1.0},
+            "overflow: '(((phi * 1e+308) * 10.0) - ((phi * 1e+308) * 10.0))' evaluates to nan",
+        ),
+        ("-(1e308*10)", {}, "overflow: '(-(1e+308 * 10.0))' evaluates to -inf"),
+        ("1/x", {"x": -0.0}, "division by zero in '(1.0 / x)'"),
+    ],
+)
+def test_first_error_in_post_order_is_reported(source, bindings, message):
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse(source), bindings)
+    assert str(info.value) == message
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse(source).ast, bindings)
+    assert str(info.value) == message
+
+
+def test_default_dict_binding_is_still_unbound():
+    bindings = collections.defaultdict(float, x=1.0)
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse("x + y"), bindings)
+    assert str(info.value) == "unbound variable 'y'"
+    assert "y" not in bindings
+
+
+@pytest.mark.parametrize(
+    "source", ["A*phi + C", "A*phi^3 + B*phi^2 + C*phi + D", "abs(A*log10(phi) + B) - -x_1/2"]
+)
+def test_pickle_and_deepcopy_round_trip(source):
+    program = parse(source)
+    bindings = {"A": 2.5, "B": -1.25, "C": 0.75, "D": 4.0, "phi": 0.37, "x_1": 1.5}
+    for copied in (pickle.loads(pickle.dumps(program)), copy.deepcopy(program), copy.copy(program)):
+        assert copied == program
+        assert hash(copied) == hash(program)
+        assert repr(copied) == repr(program)
+        assert evaluate(copied, bindings).hex() == evaluate(program, bindings).hex()
+
+
+def test_names_cannot_clash_with_the_generated_code():
+    names = ["if", "return", "None", "bindings", "float", "abs", "repr", "e", "t0", "k0", "v_x", "x"]
+    bindings = {name: float(2**k) for k, name in enumerate(names)}
+    assert evaluate(parse(" + ".join(names)), bindings) == 2.0 ** len(names) - 1
+
+
+def test_hand_built_names_need_not_be_identifiers():
+    tree = BinOp("+", Var("a b"), BinOp("*", Var(3), Var("a b")))
+    assert evaluate(tree, {"a b": 2.0, 3: 5.0}) == 12.0
+    with pytest.raises(EvaluationError) as info:
+        evaluate(Var("it's"), {})
+    assert str(info.value) == "unbound variable \"it's\""

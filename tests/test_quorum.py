@@ -288,6 +288,26 @@ class TestSolveQuorum:
         assert (got.r, got.w) == want
         assert elapsed < 0.05
 
+    @pytest.mark.parametrize("bias", list(ReadWriteBias))
+    @pytest.mark.parametrize("n", [10**5, 10**5 + 1])
+    def test_faithful_target_one_takes_the_middle_pair_at_once(self, n, bias):
+        start = time.perf_counter()
+        got = solve_quorum(1.0, n, SolveOptions(SolveMode.FAITHFUL, bias))
+        elapsed = time.perf_counter() - start
+        small, large = n // 2, n - n // 2
+        want = (large, small) if bias is ReadWriteBias.WRITES_DOMINATE else (small, large)
+        assert (got.r, got.w) == want
+        assert elapsed < 0.05
+
+    @pytest.mark.parametrize("bias", list(ReadWriteBias))
+    def test_faithful_target_one_matches_brute_force(self, bias):
+        for n in range(2, 41):
+            levels, keys = comb_argmin_table(n, faithful=True)
+            i, j = comb_argmin(levels, keys, 1.0)
+            got = solve_quorum(1.0, n, SolveOptions(SolveMode.FAITHFUL, bias))
+            want = (j, i) if bias is ReadWriteBias.WRITES_DOMINATE else (i, j)
+            assert (got.r, got.w) == want, n
+
     @pytest.mark.parametrize("n", [50, 100])
     def test_brute_force_optimality_large_n(self, n):
         """The monotone walk agrees with an argmin over the whole spectrum, in
