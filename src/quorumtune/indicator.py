@@ -331,7 +331,7 @@ def _checked(node: Expr | IndicatorProgram, error: type[IndicatorError]) -> Expr
     return node
 
 
-# The errors generated code raises, with the messages the tree walk had.
+# The errors that generated code raises, each naming a variable or a node.
 def _unbound(name: str) -> EvaluationError:
     return EvaluationError(f"unbound variable {name!r}")
 
@@ -375,19 +375,14 @@ _IDENT_RE = re.compile(_IDENT)
 def _compile(ast: Expr) -> Callable[[Bindings], float]:
     """One generated Python function that evaluates ``ast`` under bindings.
 
-    The body is straight-line code in post-order, left before right, and
-    keeps each interior node's value in a temporary ``t<k>``.  A variable is
-    read into ``v_<name>`` at its first use: ``name in bindings``, then
-    ``float(bindings[name])``, then the finiteness test.  A node's checks
-    come just before its operation: ``/`` tests its divisor for zero and for
-    an overflow, ``^`` tests both operands for an overflow and maps the
-    errors of ``math.pow``, ``log10`` tests its domain, and the root result
-    must be finite.  An operand that is a variable or a finite literal is
-    finite already, so its overflow test is left out.
-
-    A failed check raises through one of the helpers above, which formats
-    the message from the variable's name or from the node, passed in as a
-    global ``k<k>``.  Message text baked in here would repeat each checked
+    The body is straight-line code in post-order, left before right: each
+    variable is read into ``v_<name>`` at its first use, each interior
+    node's value goes into a temporary ``t<k>``, and each node's checks come
+    just before its operation.  An operand that is a variable or a finite
+    literal is finite already, so its overflow test is left out.  A failed
+    check raises through one of the helpers above, which format the message
+    from the variable's name or from the node, passed in as a global
+    ``k<k>``.  Message text baked into the source would repeat each checked
     node's subtree, so the source would grow as the tree's size times its
     height.
     """

@@ -243,8 +243,8 @@ def solve_quorum(
     pair ``(1, n)``.  A target of exactly 1 examines no candidate: the
     answer is ``(1, n)`` in extended mode and ``(n // 2, n - n // 2)`` in
     faithful mode.  A target just below 1 still walks all n/2 rows on
-    integers of up to n bits.  Nothing is cached between calls, so memory stays
-    bounded in ``n``.  Distances are compared exactly with integer
+    integers of up to n bits.  Nothing is cached between calls, so memory
+    stays bounded in ``n``.  Distances are compared exactly with integer
     arithmetic; ties are broken by smaller ``r + w``, then by
     lexicographically smaller (smaller-element, larger-element), exactly as
     an argmin over the whole spectrum would break them.  The winning pair
