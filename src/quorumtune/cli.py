@@ -250,19 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # post-parse usage errors (e.g. malformed lists)
+    except SystemExit as exc:  # usage errors, while parsing or after (e.g. malformed lists)
         return 0 if exc.code in (0, None) else int(exc.code)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

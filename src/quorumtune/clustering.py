@@ -104,9 +104,10 @@ class _OnlineClusterer:
     nearest/seed/absorb/lookup primitives."""
 
     def __init__(self) -> None:
-        self._clear()
+        self.reset()
 
-    def _clear(self) -> None:
+    def reset(self) -> None:
+        """Discard all clusters; the capacity or threshold is retained."""
         # Per cluster id: centroids and sample count.
         self._chi: list[float] = []
         self._phi: list[float] = []
@@ -117,6 +118,11 @@ class _OnlineClusterer:
 
     def __len__(self) -> int:
         return len(self._chi)
+
+    @property
+    def total_seen(self) -> int:
+        """Samples learned since creation or the last reset."""
+        return sum(self._count)
 
     def _nearest(self, chi: float) -> tuple[int, int]:
         """(index position, cluster id) of the cluster nearest ``chi``.
@@ -221,22 +227,14 @@ class SequentialClusterer(_OnlineClusterer):
         check_count(capacity, "capacity")
         super().__init__()
         self.capacity = capacity
-        self.total_seen = 0
 
     def learn(self, sample: Sample) -> int:
         """Fold one sample into the state; returns the assigned cluster index."""
         if len(self._chi) < self.capacity:
-            k = self._seed(sample)
-        else:
-            position, k = self._nearest(sample.chi)
-            self._absorb(position, k, sample)
-        self.total_seen += 1
+            return self._seed(sample)
+        position, k = self._nearest(sample.chi)
+        self._absorb(position, k, sample)
         return k
-
-    def reset(self) -> None:
-        """Discard all clusters and counters; the capacity is retained."""
-        self._clear()
-        self.total_seen = 0
 
 
 class IncrementalClusterer(_OnlineClusterer):
@@ -265,12 +263,3 @@ class IncrementalClusterer(_OnlineClusterer):
             self._absorb(position, k, sample)
             return k
         return self._seed(sample)
-
-    @property
-    def total_seen(self) -> int:
-        """Samples learned since creation or the last reset."""
-        return sum(self._count)
-
-    def reset(self) -> None:
-        """Discard all clusters; the threshold is retained."""
-        self._clear()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .errors import ConfigError, DomainError, SolveError, as_real, check_count
@@ -125,20 +126,13 @@ DEFAULT_SOLVE_OPTIONS = SolveOptions()
 def _staleness_ratio(r: int, w: int, n: int) -> tuple[int, int]:
     """C(n-w, r) / C(n, r) as an unreduced integer ratio ``(num, den)``.
 
-    Uses the telescoping product prod_{i=0}^{r-1} (n-w-i)/(n-i).  When
-    ``r + w > n`` the read quorum cannot avoid the write quorum and the
-    ratio is ``(0, 1)``.  Integer products keep the result exact for any n
-    (no factorial overflow).  Callers divide it once, so each float is
-    correctly rounded and swapping r and w (an identical rational) yields a
-    bit-identical result.
+    Exact integer binomials keep the result exact for any n (no factorial
+    overflow).  When ``r + w > n`` the read quorum cannot avoid the write
+    quorum, and ``C(n-w, r)`` is 0.  Callers divide the ratio once, so each
+    float is correctly rounded and swapping r and w (an identical rational)
+    yields a bit-identical result.
     """
-    if r + w > n:
-        return 0, 1
-    num = den = 1
-    for i in range(r):
-        num *= n - w - i
-        den *= n - i
-    return num, den
+    return comb(n - w, r), comb(n, r)
 
 
 def _phi_fraction(r: int, w: int, n: int) -> Fraction:

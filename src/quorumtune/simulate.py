@@ -154,6 +154,25 @@ class LoopTraceEntry:
     chi_achieved: float
 
 
+def _monitor(
+    relation: IndicatorProgram,
+    bindings: dict[str, float],
+    clusterer: Union[SequentialClusterer, IncrementalClusterer],
+    rng: np.random.Generator,
+    count: int,
+) -> None:
+    """Observe (chi, phi) at ``count`` uniformly random levels on
+    (PHI_FLOOR, 1] and feed each pair to ``clusterer``.
+
+    ``bindings`` holds the relation's constants; its ``phi`` entry is
+    reassigned per draw.  The sweeps train their clusterers here too.
+    """
+    phis = 1.0 - rng.random(count) * (1.0 - PHI_FLOOR)
+    for phi in phis.tolist():
+        bindings["phi"] = phi
+        clusterer.learn(Sample(evaluate(relation, bindings), phi))
+
+
 def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
     """Run monitor -> learn -> request -> tune -> calc; returns the trace.
 
@@ -162,15 +181,7 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
     """
     rng = np.random.Generator(np.random.PCG64(loop.seed))
     bindings = dict(loop.constants)
-
-    # Monitoring: observe (chi, phi) at uniformly random levels on
-    # (PHI_FLOOR, 1] and feed the clusterer.
-    draws = rng.random(loop.bootstrap_samples)
-    phis = 1.0 - draws * (1.0 - PHI_FLOOR)
-    for phi in phis:
-        phi = float(phi)
-        bindings["phi"] = phi
-        loop.clusterer.learn(Sample(evaluate(loop.relation, bindings), phi))
+    _monitor(loop.relation, bindings, loop.clusterer, rng, loop.bootstrap_samples)
 
     entries: list[LoopTraceEntry] = []
     for chi_target in loop.targets:

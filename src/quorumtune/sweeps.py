@@ -29,10 +29,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .clustering import IncrementalClusterer, Sample, SequentialClusterer
+# Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
+from .clustering import IncrementalClusterer, Sample, SequentialClusterer  # noqa: F401
 from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
-from .simulate import PHI_FLOOR
+from .simulate import PHI_FLOOR, _monitor
 
 __all__ = [
     "RelationFamily",
@@ -206,20 +207,29 @@ def _run_point(
 ) -> float:
     # The bindings of relation.chi, built once; only phi changes.
     program, bindings = relation.program, relation.constants
-    draws = rng.random(bootstrap)
-    phis = 1.0 - draws * (1.0 - PHI_FLOOR)
-    for phi in phis:
-        phi = float(phi)
-        bindings["phi"] = phi
-        clusterer.learn(Sample(evaluate(program, bindings), phi))
+    _monitor(program, bindings, clusterer, rng, bootstrap)
     lo, hi = chi_range(relation)
     targets = lo + rng.random(tests) * (hi - lo)
     squares = 0.0
-    for target in targets:
-        target = float(target)
+    for target in targets.tolist():
         bindings["phi"] = clusterer.lookup(target).phi
         squares += (target - evaluate(program, bindings)) ** 2
     return math.sqrt(squares / tests)
+
+
+def _sweep(
+    relation: RelationSpec,
+    clusterers: Sequence[Union[SequentialClusterer, IncrementalClusterer]],
+    bootstrap: int,
+    tests: int,
+    seed: int,
+) -> list[float]:
+    """The RMSE of each point of a sorted sweep; point ``i`` draws from
+    its own generator derived from ``(seed, i)``."""
+    return [
+        _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
+        for index, clusterer in enumerate(clusterers)
+    ]
 
 
 def evaluate_sequential(
@@ -242,17 +252,18 @@ def evaluate_sequential(
         raise ConfigError(
             f"cluster count {clusterers[-1].capacity} exceeds the bootstrap size {bootstrap}"
         )
-    rows = []
-    for index, clusterer in enumerate(clusterers):
-        rmse = _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
-        rows.append(SequentialRow(clusters=clusterer.capacity, rmse=rmse))
+    rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
+    rows = tuple(
+        SequentialRow(clusters=clusterer.capacity, rmse=rmse)
+        for clusterer, rmse in zip(clusterers, rmses)
+    )
     return RmseReport(
         relation=relation,
         algorithm="seq",
         seed=seed,
         bootstrap=bootstrap,
         tests=tests,
-        rows=tuple(rows),
+        rows=rows,
     )
 
 
@@ -272,17 +283,16 @@ def evaluate_incremental(
     clusterers = sorted(map(IncrementalClusterer, thresholds), key=lambda c: c.threshold)
     if not clusterers:
         raise ConfigError("thresholds must be non-empty")
-    rows = []
-    for index, clusterer in enumerate(clusterers):
-        rmse = _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
-        rows.append(
-            IncrementalRow(threshold=clusterer.threshold, clusters=len(clusterer), rmse=rmse)
-        )
+    rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
+    rows = tuple(
+        IncrementalRow(threshold=clusterer.threshold, clusters=len(clusterer), rmse=rmse)
+        for clusterer, rmse in zip(clusterers, rmses)
+    )
     return RmseReport(
         relation=relation,
         algorithm="incr",
         seed=seed,
         bootstrap=bootstrap,
         tests=tests,
-        rows=tuple(rows),
+        rows=rows,
     )

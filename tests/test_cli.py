@@ -16,6 +16,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _readme_examples():
+    """One case per ``$ quorumtune`` example in README.md that shows its
+    output, with the argv and the shown lines.  A ``\\`` ends a line that
+    the command continues on the next; a ``...`` line stands for output
+    lines left out."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    cases, seen = [], {}
+    k = 0
+    while k < len(lines):
+        command = lines[k]
+        k += 1
+        if not command.startswith("$ quorumtune "):
+            continue
+        while command.endswith("\\"):
+            command = command[:-1] + lines[k]
+            k += 1
+        shown = []
+        while k < len(lines) and not lines[k].startswith(("$ ", "```")):
+            shown.append(lines[k])
+            k += 1
+        if shown:
+            argv = shlex.split(command)[2:]
+            seen[argv[0]] = seen.get(argv[0], 0) + 1
+            name = argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}"
+            cases.append(pytest.param(argv, shown, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("argv,shown", _readme_examples())
+def test_readme_example(capsys, argv, shown):
+    # The README's pinned outputs, re-run so the documentation cannot drift.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if "..." not in shown:
+        assert out == "\n".join(shown) + "\n"
+    else:
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1 :]
+        got = out.splitlines()
+        assert got[:cut] == head and got[len(got) - len(tail) :] == tail
+
+
 class TestPhi:
     def test_example(self, capsys):
         code, out, err = run(capsys, "phi", "--r", "2", "--w", "3", "--n", "5")
@@ -84,14 +126,6 @@ class TestSimulate:
 
         code2, out2, _ = run(capsys, *args)
         assert out2 == out
-
-    def test_readme_example(self, capsys):
-        # The README's pinned output, re-run so the documentation cannot drift.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-        (index,) = [k for k, line in enumerate(readme) if line.startswith("$ quorumtune simulate")]
-        code, out, _ = run(capsys, *shlex.split(readme[index])[2:])
-        assert code == 0
-        assert out == readme[index + 1] + "\n"
 
     def test_n_beyond_the_sampler_exits_2(self, capsys):
         code, out, err = run(
@@ -254,6 +288,20 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "COMMAND" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--relation", "linear", "--algo", "seq", "--sweep", "5", "--seed", "1"],
+            ["loop", "--expr", "phi", "--targets", "0.5", "--n", "5", "--seed", "1"],
+        ],
+        ids=["evaluate", "loop"],
+    )
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_console_script_installed(self):
         result = subprocess.run(

@@ -200,6 +200,23 @@ class TestCsv:
         for line in lines[2:]:
             clusters, rmse = line.split(",")
             int(clusters), float(rmse)
+        # The whole text: RMSEs are pinned to the last bit, not to a tolerance.
+        assert report.to_csv() == (
+            "# family=linear algo=seq seed=1 bootstrap=100 tests=10 A=1.0 B=1.0 C=0.0 D=0.0\n"
+            "clusters,rmse\n"
+            "5,0.07178976445009529\n"
+            "10,0.031686938353335685\n"
+        )
+        # Ten targets are too few for a re-ordered sum to move a digit; at a
+        # hundred it does.
+        assert evaluate_sequential(LINEAR, SWEEP_COUNTS, seed=42).to_csv() == (
+            "# family=linear algo=seq seed=42 bootstrap=1000 tests=100 A=1.0 B=1.0 C=0.0 D=0.0\n"
+            "clusters,rmse\n"
+            "5,0.060228554948130814\n"
+            "10,0.04119360993751346\n"
+            "50,0.0088283566188103\n"
+            "100,0.004264431789020751\n"
+        )
 
     def test_incremental_layout(self):
         report = evaluate_incremental(LINEAR, [0.2, 0.1], bootstrap=100, tests=10, seed=1)
@@ -209,6 +226,21 @@ class TestCsv:
         first = lines[2].split(",")
         assert float(first[0]) == 0.1  # sorted ascending by threshold
         assert len(first) == 3
+        assert report.to_csv() == (
+            "# family=linear algo=incr seed=1 bootstrap=100 tests=10 A=1.0 B=1.0 C=0.0 D=0.0\n"
+            "threshold,clusters,rmse\n"
+            "0.1,20,0.03345532852476071\n"
+            "0.2,12,0.04688193406453404\n"
+        )
+        assert evaluate_incremental(LINEAR, SWEEP_TAUS, seed=42).to_csv() == (
+            "# family=linear algo=incr seed=42 bootstrap=1000 tests=100 A=1.0 B=1.0 C=0.0 D=0.0\n"
+            "threshold,clusters,rmse\n"
+            "0.01,212,0.002870165090482929\n"
+            "0.02,143,0.005103174735868714\n"
+            "0.05,62,0.012746427574885559\n"
+            "0.1,42,0.021837486662603205\n"
+            "0.2,25,0.036642000109861794\n"
+        )
 
     def test_byte_identical_reruns(self):
         a = evaluate_incremental(LINEAR, SWEEP_TAUS, seed=42).to_csv()
