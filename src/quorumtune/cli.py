@@ -29,7 +29,7 @@ from .quorum import (
     SolveMode,
     SolveOptions,
     consistency_level,
-    enumerate_levels,
+    iter_levels,
     solve_quorum,
     staleness_probability,
 )
@@ -86,7 +86,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_levels(args: argparse.Namespace) -> int:
     print("r,w,phi")
-    for cfg, level in enumerate_levels(args.n):
+    for cfg, level in iter_levels(args.n):
         print(f"{cfg.r},{cfg.w},{level.phi!r}")
     return 0
 

@@ -101,7 +101,7 @@ class Cluster:
 
 class _OnlineClusterer:
     """Shared list-backed state, its sorted chi index, and the
-    nearest/seed/absorb/lookup primitives."""
+    nearest/seed/absorb/lookup primitives.  Subclasses define ``learn``."""
 
     def __init__(self) -> None:
         self.reset()
@@ -123,6 +123,9 @@ class _OnlineClusterer:
     def total_seen(self) -> int:
         """Samples learned since creation or the last reset."""
         return sum(self._count)
+
+    def _check_bootstrap(self, count: int) -> None:
+        """Raise ConfigError when ``count`` bootstrap samples are too few (never, here)."""
 
     def _nearest(self, chi: float) -> tuple[int, int]:
         """(index position, cluster id) of the cluster nearest ``chi``.
@@ -227,6 +230,13 @@ class SequentialClusterer(_OnlineClusterer):
         check_count(capacity, "capacity")
         super().__init__()
         self.capacity = capacity
+
+    def _check_bootstrap(self, count: int) -> None:
+        if count < self.capacity:
+            raise ConfigError(
+                f"bootstrap size {count} is below the sequential capacity {self.capacity}; "
+                "the clusterer would never leave its seeding phase"
+            )
 
     def learn(self, sample: Sample) -> int:
         """Fold one sample into the state; returns the assigned cluster index."""

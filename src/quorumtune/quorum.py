@@ -21,6 +21,7 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +39,7 @@ __all__ = [
     "staleness_probability",
     "consistency_level",
     "enumerate_levels",
+    "iter_levels",
     "solve_quorum",
 ]
 
@@ -172,20 +174,34 @@ def _spectrum(n: int) -> tuple[tuple[int, int, Fraction], ...]:
     )
 
 
-def enumerate_levels(n: int) -> list[tuple[QuorumConfig, ConsistencyLevel]]:
-    """The achievable consistency spectrum at ``n`` replicas.
+def _level_row(i: int, n: int) -> Iterator[tuple[Fraction, int, int, int, QuorumConfig]]:
+    """Row ``r = i`` of the spectrum as ``(phi, i + j, i, j, config)``.
 
-    Returns every canonical configuration ``1 <= r <= w <= n`` (the mirrored
+    The level never falls as ``j`` grows (it reaches 1 once ``i + j > n``)
+    and ``i + j`` rises, so the row is sorted on its first four fields.
+    """
+    for j in range(i, n + 1):
+        yield _phi_fraction(i, j, n), i + j, i, j, QuorumConfig(i, j, n)
+
+
+def iter_levels(n: int) -> Iterator[tuple[QuorumConfig, ConsistencyLevel]]:
+    """The achievable consistency spectrum at ``n`` replicas, streamed.
+
+    Yields every canonical configuration ``1 <= r <= w <= n`` (the mirrored
     orientation yields the same level) paired with its level, sorted
     ascending by level, then by quorum sum ``r + w``, then by ``(r, w)``.
+    ``n`` is checked at the call.  The n sorted rows are merged through a
+    heap of one entry per row, so memory holds O(n) entries, not the
+    n^2 / 2 of the output.
     """
     check_count(n, "n")
-    keyed = [
-        (phi, i + j, i, j, QuorumConfig(i, j, n))
-        for i, j, phi in _spectrum(n)
-    ]
-    keyed.sort(key=lambda item: item[:4])
-    return [(cfg, consistency_level(cfg)) for *_key, cfg in keyed]
+    merged = heapq.merge(*(_level_row(i, n) for i in range(1, n + 1)))
+    return ((cfg, consistency_level(cfg)) for *_key, cfg in merged)
+
+
+def enumerate_levels(n: int) -> list[tuple[QuorumConfig, ConsistencyLevel]]:
+    """:func:`iter_levels` as a list."""
+    return list(iter_levels(n))
 
 
 def _bracketing_pairs(n: int, sp: int, q: int) -> Iterator[tuple[int, int, int, int]]:

@@ -26,11 +26,11 @@ estimates hold for the numpy version in use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clustering import IncrementalClusterer, Sample, SequentialClusterer
+from .clustering import Sample, _OnlineClusterer
 from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate
 from .quorum import (
@@ -59,6 +59,11 @@ PHI_FLOOR = 1e-6
 # reproducibility contract (it determines how the random stream is consumed)
 # and bounds the simulator's memory.
 _CHUNK = 1 << 16
+
+# Monitored levels are drawn and learned this many at a time, which bounds
+# the monitoring stage's memory.  Consecutive PCG64 ``random`` draws continue
+# one stream, so the chunk size does not change any seeded result.
+_LEVELS_PER_DRAW = 4096
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class LoopConfig:
     """
 
     relation: IndicatorProgram
-    clusterer: Union[SequentialClusterer, IncrementalClusterer]
+    clusterer: _OnlineClusterer
     bootstrap_samples: int
     targets: Sequence[float]
     seed: int
@@ -122,16 +127,10 @@ class LoopConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.relation, IndicatorProgram):
             raise ConfigError(f"relation must be an IndicatorProgram, got {self.relation!r}")
-        if not isinstance(self.clusterer, (SequentialClusterer, IncrementalClusterer)):
+        if not isinstance(self.clusterer, _OnlineClusterer):
             raise ConfigError(f"unsupported clusterer {self.clusterer!r}")
         check_count(self.bootstrap_samples, "bootstrap_samples")
-        if isinstance(self.clusterer, SequentialClusterer):
-            if self.bootstrap_samples < self.clusterer.capacity:
-                raise ConfigError(
-                    f"bootstrap_samples={self.bootstrap_samples} is below the sequential "
-                    f"capacity {self.clusterer.capacity}; the clusterer would never leave "
-                    "its seeding phase"
-                )
+        self.clusterer._check_bootstrap(self.bootstrap_samples)
         check_count(self.n, "n")
         check_seed(self.seed)
         object.__setattr__(self, "targets", tuple(as_real(t, "target") for t in self.targets))
@@ -157,7 +156,7 @@ class LoopTraceEntry:
 def _monitor(
     relation: IndicatorProgram,
     bindings: dict[str, float],
-    clusterer: Union[SequentialClusterer, IncrementalClusterer],
+    clusterer: _OnlineClusterer,
     rng: np.random.Generator,
     count: int,
 ) -> None:
@@ -166,11 +165,13 @@ def _monitor(
 
     ``bindings`` holds the relation's constants; its ``phi`` entry is
     reassigned per draw.  The sweeps train their clusterers here too.
+    Memory stays O(``_LEVELS_PER_DRAW``) whatever ``count`` is.
     """
-    phis = 1.0 - rng.random(count) * (1.0 - PHI_FLOOR)
-    for phi in phis.tolist():
-        bindings["phi"] = phi
-        clusterer.learn(Sample(evaluate(relation, bindings), phi))
+    for start in range(0, count, _LEVELS_PER_DRAW):
+        rows = min(count - start, _LEVELS_PER_DRAW)
+        for phi in (1.0 - rng.random(rows) * (1.0 - PHI_FLOOR)).tolist():
+            bindings["phi"] = phi
+            clusterer.learn(Sample(evaluate(relation, bindings), phi))
 
 
 def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:

@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
+from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
-from .clustering import IncrementalClusterer, Sample, SequentialClusterer  # noqa: F401
+from .clustering import Sample  # noqa: F401
 from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
 from .simulate import PHI_FLOOR, _monitor
@@ -160,7 +161,7 @@ class RmseReport:
     seed: int
     bootstrap: int
     tests: int
-    rows: Union[tuple[SequentialRow, ...], tuple[IncrementalRow, ...]]
+    rows: tuple[SequentialRow | IncrementalRow, ...]
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -200,7 +201,7 @@ def _check_seed_and_sizes(bootstrap: int, tests: int, seed: int) -> None:
 
 def _run_point(
     relation: RelationSpec,
-    clusterer: Union[SequentialClusterer, IncrementalClusterer],
+    clusterer: _OnlineClusterer,
     rng: np.random.Generator,
     bootstrap: int,
     tests: int,
@@ -219,13 +220,18 @@ def _run_point(
 
 def _sweep(
     relation: RelationSpec,
-    clusterers: Sequence[Union[SequentialClusterer, IncrementalClusterer]],
+    clusterers: Sequence[_OnlineClusterer],
     bootstrap: int,
     tests: int,
     seed: int,
 ) -> list[float]:
     """The RMSE of each point of a sorted sweep; point ``i`` draws from
-    its own generator derived from ``(seed, i)``."""
+    its own generator derived from ``(seed, i)``.  Every point is checked
+    before any runs."""
+    if not clusterers:
+        raise ConfigError("a sweep needs at least one cluster count or threshold")
+    for clusterer in clusterers:
+        clusterer._check_bootstrap(bootstrap)
     return [
         _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
         for index, clusterer in enumerate(clusterers)
@@ -246,12 +252,6 @@ def evaluate_sequential(
     """
     _check_seed_and_sizes(bootstrap, tests, seed)
     clusterers = sorted(map(SequentialClusterer, cluster_counts), key=lambda c: c.capacity)
-    if not clusterers:
-        raise ConfigError("cluster_counts must be non-empty")
-    if clusterers[-1].capacity > bootstrap:
-        raise ConfigError(
-            f"cluster count {clusterers[-1].capacity} exceeds the bootstrap size {bootstrap}"
-        )
     rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
     rows = tuple(
         SequentialRow(clusters=clusterer.capacity, rmse=rmse)
@@ -281,8 +281,6 @@ def evaluate_incremental(
     """
     _check_seed_and_sizes(bootstrap, tests, seed)
     clusterers = sorted(map(IncrementalClusterer, thresholds), key=lambda c: c.threshold)
-    if not clusterers:
-        raise ConfigError("thresholds must be non-empty")
     rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
     rows = tuple(
         IncrementalRow(threshold=clusterer.threshold, clusters=len(clusterer), rmse=rmse)

@@ -1,6 +1,7 @@
 """Unit tests for the exact quorum consistency math."""
 
 import time
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb
@@ -22,9 +23,11 @@ from quorumtune import (
     SolveOptions,
     consistency_level,
     enumerate_levels,
+    iter_levels,
     solve_quorum,
     staleness_probability,
 )
+from quorumtune.quorum import _spectrum
 
 EXTENDED = SolveOptions(mode=SolveMode.EXTENDED)
 FAITHFUL = SolveOptions(mode=SolveMode.FAITHFUL)
@@ -200,6 +203,30 @@ class TestEnumerateLevels:
     def test_rejects_bad_n(self):
         with pytest.raises(ConfigError):
             enumerate_levels(0)
+
+    def test_iter_levels_rejects_bad_n_at_the_call(self):
+        with pytest.raises(ConfigError):
+            iter_levels(0)  # before any next()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_merge_matches_a_full_sort(self, n):
+        key = lambda t: (t[2], t[0] + t[1], t[0], t[1])  # noqa: E731
+        expected = [(i, j, float(phi)) for i, j, phi in sorted(_spectrum(n), key=key)]
+        got = [(cfg.r, cfg.w, level.phi) for cfg, level in iter_levels(n)]
+        assert got == expected
+
+    def test_iter_levels_memory_is_linear_in_n(self):
+        # The merge holds one entry per row; a list of all 20,100 pairs at
+        # n = 200 takes about 9 MB.
+        levels = iter_levels(200)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 200 * 201 // 2
+        assert peak < 0.5 * 1024 * 1024
 
 
 class TestSolveQuorum:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from quorumtune import (
+    PHI_FLOOR,
     ConfigError,
     EvaluationError,
     IncrementalClusterer,
     LoopConfig,
     QuorumConfig,
+    Sample,
     SequentialClusterer,
     SimConfig,
     empirical_staleness,
@@ -109,6 +111,48 @@ class TestEmpiricalStaleness:
         assert a == b
         expected = staleness_probability(QuorumConfig(1, 1, 4))
         assert abs(a - expected) < 0.01
+
+
+class TestMonitoring:
+    def test_chunked_draws_match_one_draw(self):
+        # Past several draw chunks, the loop learns exactly what one draw of
+        # all the levels teaches a clusterer.
+        count = 3 * 4096 + 5
+        loop = LoopConfig(
+            relation=parse("2*phi + 1"),
+            clusterer=SequentialClusterer(40),
+            bootstrap_samples=count,
+            targets=[2.0],
+            seed=9,
+            n=5,
+        )
+        run_adaptation_loop(loop)
+        reference = SequentialClusterer(40)
+        rng = np.random.Generator(np.random.PCG64(9))
+        for phi in (1.0 - rng.random(count) * (1.0 - PHI_FLOOR)).tolist():
+            reference.learn(Sample(2 * phi + 1, phi))
+        assert loop.clusterer.csv_snapshot() == reference.csv_snapshot()
+
+    def test_memory_bounded_in_bootstrap(self):
+        def peak(count):
+            loop = LoopConfig(
+                relation=parse("phi"),
+                clusterer=SequentialClusterer(10),
+                bootstrap_samples=count,
+                targets=[0.5],
+                seed=3,
+                n=5,
+            )
+            tracemalloc.start()
+            try:
+                run_adaptation_loop(loop)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations aside
+        # Holding every level at once costs about 30 bytes a sample.
+        assert peak(200_000) < 1.5 * peak(50_000)
 
 
 class TestLoopConfig:

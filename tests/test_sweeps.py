@@ -9,13 +9,16 @@ from quorumtune import (
     ConfigError,
     IncrementalClusterer,
     IncrementalRow,
+    LoopConfig,
     RelationFamily,
     RelationSpec,
     RmseReport,
+    SequentialClusterer,
     SequentialRow,
     chi_range,
     evaluate_incremental,
     evaluate_sequential,
+    parse,
 )
 
 LINEAR = RelationSpec(RelationFamily.LINEAR)
@@ -118,6 +121,34 @@ class TestValidation:
             evaluate_incremental(LINEAR, [0.0], seed=1)
         with pytest.raises(ConfigError):
             evaluate_incremental(LINEAR, ["x"], seed=1)
+
+    def test_seeding_rule_has_one_message(self):
+        with pytest.raises(ConfigError, match="seeding") as sweep:
+            evaluate_sequential(LINEAR, [5, 2000], bootstrap=1000, seed=1)
+        with pytest.raises(ConfigError) as loop:
+            LoopConfig(
+                relation=parse("phi"),
+                clusterer=SequentialClusterer(2000),
+                bootstrap_samples=1000,
+                targets=[0.5],
+                seed=1,
+                n=5,
+            )
+        assert str(sweep.value) == str(loop.value)
+
+    def test_empty_sweep_has_one_message(self):
+        with pytest.raises(ConfigError) as seq:
+            evaluate_sequential(LINEAR, [], seed=1)
+        with pytest.raises(ConfigError) as incr:
+            evaluate_incremental(LINEAR, [], seed=1)
+        assert str(seq.value) == str(incr.value)
+
+    def test_check_order(self):
+        # Sizes and seed, then each sweep value, then emptiness, then seeding.
+        with pytest.raises(ConfigError, match="tests"):
+            evaluate_sequential(LINEAR, [], tests=0, seed=1)
+        with pytest.raises(ConfigError, match="capacity must be >= 1"):
+            evaluate_sequential(LINEAR, [2000, 0], bootstrap=1000, seed=1)
 
     def test_report_invariants(self):
         with pytest.raises(ConfigError):
