@@ -17,6 +17,8 @@ domain errors (inputs that parse but violate a precondition).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 from typing import Sequence
 
@@ -85,8 +87,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_levels(args: argparse.Namespace) -> int:
+    levels = iter_levels(args.n)  # checks n before the header is printed
     print("r,w,phi")
-    for cfg, level in iter_levels(args.n):
+    for cfg, level in levels:
         print(f"{cfg.r},{cfg.w},{level.phi!r}")
     return 0
 
@@ -106,16 +109,25 @@ def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
     )
 
 
+def _open_out(path: str | None):
+    """The CSV destination: ``path`` opened for writing, or stdout when
+    ``path`` is None.  Commands open it before their run, so an unwritable
+    path fails at once; a run that fails later leaves the file empty."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     relation = _relation_from_args(args)
     if args.algo == "seq":
         sweep = _split_list(args.sweep, "cluster counts", int, args.subparser)
-        report = evaluate_sequential(relation, sweep, args.bootstrap, args.tests, args.seed)
+        run_sweep = evaluate_sequential
     else:
         sweep = _split_list(args.sweep, "thresholds", float, args.subparser)
-        report = evaluate_incremental(relation, sweep, args.bootstrap, args.tests, args.seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_csv())
+        run_sweep = evaluate_incremental
+    with _open_out(args.out) as handle:
+        handle.write(run_sweep(relation, sweep, args.bootstrap, args.tests, args.seed).to_csv())
     return 0
 
 
@@ -155,12 +167,8 @@ def _cmd_loop(args: argparse.Namespace) -> int:
         n=args.n,
         constants=constants,
     )
-    csv_text = trace_to_csv(run_adaptation_loop(loop))
-    if args.out is None:
-        sys.stdout.write(csv_text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(csv_text)
+    with _open_out(args.out) as handle:
+        handle.write(trace_to_csv(run_adaptation_loop(loop)))
     return 0
 
 
@@ -249,9 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call rather than at import, and then reused:
+    # parse_args leaves the parser unchanged, and --const's append action
+    # copies its default list before appending.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # usage errors, while parsing or after (e.g. malformed lists)
         return 0 if exc.code in (0, None) else int(exc.code)

@@ -165,15 +165,6 @@ def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     return ConsistencyLevel((den - num) / den)
 
 
-def _spectrum(n: int) -> tuple[tuple[int, int, Fraction], ...]:
-    """All canonical pairs (i, j, phi) with 1 <= i <= j <= n, phi exact."""
-    return tuple(
-        (i, j, _phi_fraction(i, j, n))
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-    )
-
-
 def _level_row(i: int, n: int) -> Iterator[tuple[Fraction, int, int, int, QuorumConfig]]:
     """Row ``r = i`` of the spectrum as ``(phi, i + j, i, j, config)``.
 

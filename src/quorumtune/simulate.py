@@ -21,14 +21,16 @@ chunks of ``_CHUNK`` and each chunk is one ``Generator.hypergeometric(w,
 n - w, r, size=rows)`` call, in chunk order.  numpy may change how its
 samplers consume the stream between feature releases (NEP 19), so pinned
 estimates hold for the numpy version in use.
+
+numpy is imported by the functions that build a generator (here and in
+:mod:`quorumtune.sweeps`), not at module level: the package, and the CLI
+commands that draw nothing, start without paying for its import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .clustering import Sample, _OnlineClusterer
 from .errors import ConfigError, as_real, check_count, check_seed
@@ -40,6 +42,9 @@ from .quorum import (
     consistency_level,
     solve_quorum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PHI_FLOOR",
@@ -90,6 +95,8 @@ def empirical_staleness(sim: SimConfig) -> float:
 
     Deterministic given ``sim.seed`` (and ``sim.trials``).
     """
+    import numpy as np
+
     cfg = sim.config
     rng = np.random.Generator(np.random.PCG64(sim.seed))
     stale = 0
@@ -180,6 +187,8 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
     The loop's clusterer is trained in place.  Deterministic given
     ``loop.seed``.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(loop.seed))
     bindings = dict(loop.constants)
     _monitor(loop.relation, bindings, loop.clusterer, rng, loop.bootstrap_samples)

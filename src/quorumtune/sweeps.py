@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
@@ -35,6 +33,9 @@ from .clustering import Sample  # noqa: F401
 from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
 from .simulate import PHI_FLOOR, _monitor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RelationFamily",
@@ -190,6 +191,8 @@ class RmseReport:
 
 
 def _sweep_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 

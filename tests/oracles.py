@@ -57,6 +57,19 @@ def bitmask_staleness_table(n: int) -> dict[tuple[int, int], Fraction]:
     return table
 
 
+def _spectrum(n: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """All canonical pairs (i, j, phi) with 1 <= i <= j <= n, phi exact.
+
+    phi is one minus the chance that a uniform i-subset misses a fixed
+    j-subset: C(n - j, i) of the C(n, i) read quorums do.
+    """
+    return tuple(
+        (i, j, 1 - Fraction(math.comb(n - j, i), math.comb(n, i)))
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Plain-list online clusterers
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bitmask_staleness_table, random_ast, tuple_eval, tuple_to_source
+from oracles import _spectrum, bitmask_staleness_table, random_ast, tuple_eval, tuple_to_source
 from quorumtune import (
     EvaluationError,
     IncrementalClusterer,
@@ -44,7 +44,7 @@ from quorumtune import (
     staleness_probability,
     unparse,
 )
-from quorumtune.quorum import _phi_fraction, _spectrum
+from quorumtune.quorum import _phi_fraction
 
 FAMILIES = (
     RelationFamily.LINEAR,

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from quorumtune.cli import main
+from quorumtune import cli
+from quorumtune.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -112,6 +113,13 @@ class TestLevels:
         assert len(lines) == 16  # header + the 15 canonical configs
         assert lines[1] == "1,1,0.2"
         assert lines[-1] == "5,5,1.0"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_n_prints_no_header(self, capsys, n):
+        code, out, err = run(capsys, "levels", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestSimulate:
@@ -303,6 +311,37 @@ class TestTopLevel:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--relation", "linear", "--algo", "seq", "--sweep", "5", "--seed", "1"],
+            ["evaluate", "--relation", "linear", "--algo", "incr", "--sweep", "0.1", "--seed", "1"],
+            ["loop", "--expr", "phi", "--targets", "0.5", "--n", "5", "--seed", "1"],
+        ],
+        ids=["evaluate-seq", "evaluate-incr", "loop"],
+    )
+    def test_out_is_opened_before_the_run(self, capsys, monkeypatch, tmp_path, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("ran before --out was opened")
+
+        for name in ("evaluate_sequential", "evaluate_incremental", "run_adaptation_loop"):
+            monkeypatch.setattr(cli, name, never)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_run_failing_after_open_leaves_an_empty_file(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        out_path.write_text("old contents\n")
+        code, *_ = run(
+            capsys,
+            "evaluate", "--relation", "linear", "--algo", "seq", "--sweep", "2000",
+            "--bootstrap", "1000", "--seed", "1", "--out", str(out_path),
+        )  # fmt: skip
+        assert code == 2
+        assert out_path.read_text() == ""
+
     def test_console_script_installed(self):
         result = subprocess.run(
             [sys.executable, "-m", "quorumtune.cli", "phi", "--r", "3", "--w", "3", "--n", "5"],
@@ -312,3 +351,61 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert result.stdout == "1.0\n"
+
+
+class TestOneParser:
+    """main parses with one parser per process; no call may change what a
+    later call sees."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--r", "2", "--w", "3", "--n", "5", "--trials", "1000", "--seed", "3"],
+            ["--help"],
+        ],
+        ids=["simulate", "help"],
+    )
+    def test_repeated_calls_print_the_same(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
+
+    def test_const_values_do_not_leak_into_the_next_call(self, capsys):
+        loop = ["loop", "--expr", "A*phi + C", "--targets", "0.5", "--n", "5", "--seed", "3"]
+        code, *_ = run(capsys, *loop, "--const", "A=1", "--const", "C=0")
+        assert code == 0
+        code, _, err = run(capsys, *loop, "--const", "A=1")
+        assert code == 2
+        assert "C" in err
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        assert run(capsys, "phi", "--r", "2", "--w", "3", "--n", "5")[0] == 0
+        code, out, err = run(capsys, "phi", "--r", "2", "--w", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: quorumtune phi")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_commands_that_draw_nothing_import_no_numpy(self):
+        script = """
+import contextlib, io, sys
+import quorumtune
+from quorumtune.cli import main
+for argv in (
+    ["phi", "--r", "2", "--w", "3", "--n", "5"],
+    ["solve", "--phi", "0.9", "--n", "5"],
+    ["levels", "--n", "5"],
+    ["parse", "--expr", "A*phi + C"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+main(["simulate", "--r", "2", "--w", "3", "--n", "5", "--trials", "100000", "--seed", "7"])
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\nempirical=0.10038 analytic=0.1\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumeration_staleness
+from oracles import _spectrum, enumeration_staleness
 from quorumtune import (
     PHI_FLOOR,
     ConfigError,
@@ -27,7 +27,6 @@ from quorumtune import (
     solve_quorum,
     staleness_probability,
 )
-from quorumtune.quorum import _spectrum
 
 EXTENDED = SolveOptions(mode=SolveMode.EXTENDED)
 FAITHFUL = SolveOptions(mode=SolveMode.FAITHFUL)
