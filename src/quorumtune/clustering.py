@@ -20,15 +20,16 @@ targets whose rounded distances to two centroids come out equal, break
 toward the earliest-inserted cluster.
 
 Both clusterers are deterministic (no internal randomness).  Centroids and
-counts live in plain lists indexed by cluster id, next to a sorted 1-D index
-of the ``chi`` centroids ordered by ``(chi, id)``.  The nearest cluster is
-found by bisecting that index and walking outward only while the rounded
-distance still equals the best so far: O(log K) plus one step per tied
-key, where a scan of every centroid would cost O(K).  An absorbed centroid
-moves toward the sample and in exact arithmetic cannot pass another
-centroid, so its key is re-sorted only when a duplicate, a rounding tie or
-an overflow puts it out of order.  Learning mutates state and must be
-serialized by the caller; lookups are read-only.
+counts live in plain lists indexed by cluster id.  The first nearest search
+(a lookup, or the first sample past seeding) sorts the ``chi`` centroids once
+into a 1-D index ordered by ``(chi, id)``; later seeds insert into it.  The
+nearest cluster is found by bisecting that index and walking outward only
+while the rounded distance still equals the best so far: O(log K) plus one
+step per tied key.  An absorbed centroid moves toward the sample and in exact
+arithmetic cannot pass another centroid, so its key is re-sorted only when a
+duplicate, a rounding tie or an overflow puts it out of order.  Learning
+mutates state and must be serialized by the caller, as must the first lookup
+after seeding, which builds the index; later lookups are read-only.
 """
 
 from __future__ import annotations
@@ -100,8 +101,13 @@ class Cluster:
 
 
 class _OnlineClusterer:
-    """Shared list-backed state, its sorted chi index, and the
-    nearest/seed/absorb/lookup primitives.  Subclasses define ``learn``."""
+    """Shared list-backed state, its sorted chi index, ``learn``, ``lookup`` and
+    the nearest walk; subclasses set ``capacity`` and ``threshold``."""
+
+    # Samples that seed unconditionally (for the incremental clusterer, its first).
+    capacity = 1
+    # Relative-error admission bound; None absorbs every sample past capacity.
+    threshold: float | None = None
 
     def __init__(self) -> None:
         self.reset()
@@ -112,7 +118,8 @@ class _OnlineClusterer:
         self._chi: list[float] = []
         self._phi: list[float] = []
         self._count: list[int] = []
-        # The chi centroids sorted by (chi, id), and the id at each position.
+        # The chi centroids sorted by (chi, id), and the id at each position;
+        # both stay empty until the first nearest search builds them.
         self._keys: list[float] = []
         self._ids: list[int] = []
 
@@ -127,8 +134,45 @@ class _OnlineClusterer:
     def _check_bootstrap(self, count: int) -> None:
         """Raise ConfigError when ``count`` bootstrap samples are too few (never, here)."""
 
-    def _nearest(self, chi: float) -> tuple[int, int]:
-        """(index position, cluster id) of the cluster nearest ``chi``.
+    def learn(self, sample: Sample) -> int:
+        """Fold one sample into the state; returns the assigned cluster index."""
+        chis = self._chi
+        chi = sample.chi
+        if len(chis) >= self.capacity:
+            position, k, distance = self._nearest(chi)
+            old = chis[k]
+            if self.threshold is None or distance / max(abs(old), REL_ERR_FLOOR) < self.threshold:
+                c = self._count[k]
+                n = c + 1
+                new = (old * c + chi) / n
+                if not -_INF < new < _INF:
+                    # centroid * count overflowed, though a mean of finite samples is
+                    # finite: step from the old centroid.  Finite results above are kept.
+                    new = old + (chi / n - old / n)
+                chis[k] = new
+                self._phi[k] = (self._phi[k] * c + sample.phi) / n
+                self._count[k] = n
+                keys = self._keys
+                keys[position] = new
+                if (position + 1 < len(keys) and keys[position + 1] <= new) or (
+                    position and keys[position - 1] >= new
+                ):
+                    self._resort(position, k, new)
+                return k
+        k = len(chis)
+        chis.append(chi)
+        self._phi.append(sample.phi)
+        self._count.append(1)
+        if self._keys:
+            # The new id is the largest, so it goes after every equal key.
+            i = bisect_right(self._keys, chi)
+            self._keys.insert(i, chi)
+            self._ids.insert(i, k)
+        return k
+
+    def _nearest(self, chi: float) -> tuple[int, int, float]:
+        """(index position, cluster id, rounded |delta chi|) of the cluster
+        nearest ``chi``, building the index first if it is empty.
 
         The rounded distance ``|key - chi|`` never decreases while walking
         away from the insertion point, so each walk stops at the first key
@@ -137,56 +181,29 @@ class _OnlineClusterer:
         """
         keys = self._keys
         ids = self._ids
+        if not keys:
+            # A stable sort keeps equal keys in id order, as insertion would.
+            ids[:] = sorted(range(len(self._chi)), key=self._chi.__getitem__)
+            keys[:] = map(self._chi.__getitem__, ids)
         size = len(keys)
         i = bisect_left(keys, chi)
         right = keys[i] - chi if i < size else _INF
         left = chi - keys[i - 1] if i else _INF
-        best = left if left < right else right
         position = k = size
-        if right == best:
+        if right <= left:
             j = i
-            while j < size and keys[j] - chi == best:
+            while j < size and keys[j] - chi == right:
                 if ids[j] < k:
                     position, k = j, ids[j]
                 j += 1
-        if left == best:
-            j = i - 1
-            while j >= 0 and chi - keys[j] == best:
-                if ids[j] < k:
-                    position, k = j, ids[j]
-                j -= 1
-        return position, k
-
-    def _seed(self, sample: Sample) -> int:
-        k = len(self._chi)
-        chi = sample.chi
-        self._chi.append(chi)
-        self._phi.append(sample.phi)
-        self._count.append(1)
-        # The new id is the largest, so it goes after every equal key.
-        i = bisect_right(self._keys, chi)
-        self._keys.insert(i, chi)
-        self._ids.insert(i, k)
-        return k
-
-    def _absorb(self, position: int, k: int, sample: Sample) -> None:
-        c = self._count[k]
-        chi = (self._chi[k] * c + sample.chi) / (c + 1)
-        if not -_INF < chi < _INF:
-            # centroid * count overflowed, though a mean of finite samples is
-            # finite: step from the old centroid instead.  Any finite result
-            # of the line above is kept, so those centroids do not change.
-            old = self._chi[k]
-            chi = old + (sample.chi / (c + 1) - old / (c + 1))
-        self._chi[k] = chi
-        self._phi[k] = (self._phi[k] * c + sample.phi) / (c + 1)
-        self._count[k] = c + 1
-        keys = self._keys
-        keys[position] = chi
-        if (position + 1 < len(keys) and keys[position + 1] <= chi) or (
-            position and keys[position - 1] >= chi
-        ):
-            self._resort(position, k, chi)
+            if right < left:
+                return position, k, right
+        j = i - 1
+        while j >= 0 and chi - keys[j] == left:
+            if ids[j] < k:
+                position, k = j, ids[j]
+            j -= 1
+        return position, k, left
 
     def _resort(self, position: int, k: int, chi: float) -> None:
         keys = self._keys
@@ -238,14 +255,6 @@ class SequentialClusterer(_OnlineClusterer):
                 "the clusterer would never leave its seeding phase"
             )
 
-    def learn(self, sample: Sample) -> int:
-        """Fold one sample into the state; returns the assigned cluster index."""
-        if len(self._chi) < self.capacity:
-            return self._seed(sample)
-        position, k = self._nearest(sample.chi)
-        self._absorb(position, k, sample)
-        return k
-
 
 class IncrementalClusterer(_OnlineClusterer):
     """Threshold-driven streaming k-means over (chi, phi) samples.
@@ -261,15 +270,3 @@ class IncrementalClusterer(_OnlineClusterer):
             raise ConfigError(f"threshold must be > 0, got {threshold!r}")
         super().__init__()
         self.threshold = threshold
-
-    def learn(self, sample: Sample) -> int:
-        """Fold one sample into the state; returns the assigned cluster index."""
-        if not self._chi:
-            return self._seed(sample)
-        position, k = self._nearest(sample.chi)
-        centroid = self._chi[k]
-        relative_error = abs(centroid - sample.chi) / max(abs(centroid), REL_ERR_FLOOR)
-        if relative_error < self.threshold:
-            self._absorb(position, k, sample)
-            return k
-        return self._seed(sample)

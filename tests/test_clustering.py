@@ -1,5 +1,8 @@
 """Unit tests for the online clusterers."""
 
+import random
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +85,21 @@ class TestSequential:
         assert len(clusterer) == 3
         assert clusterer.total_seen == 10
         assert sum(c.count for c in clusterer.clusters) == 10
+
+    def test_filling_a_large_capacity_is_fast(self):
+        # Seeds only append; the first lookup sorts them once.  Inserting
+        # each seed into the sorted index as it arrives took about 27 s on
+        # a 2-vCPU VM.
+        size = 300_000
+        samples = [Sample(float(i * 7919 % size), i / size) for i in range(size)]
+        clusterer = SequentialClusterer(size)
+        start = time.perf_counter()
+        for sample in samples:
+            clusterer.learn(sample)
+        level = clusterer.lookup(float(123 * 7919 % size))
+        elapsed = time.perf_counter() - start
+        assert level.phi == 123 / size
+        assert elapsed < 5.0, f"seeding and one lookup took {elapsed:.2f}s"
 
     @pytest.mark.parametrize("bad", [0, -1, 1.0, True, "3"])
     def test_rejects_bad_capacity(self, bad):
@@ -283,6 +301,13 @@ class TestAgainstReference:
             [(0.0, 0.25), (1.0, 0.75), (1e16, 0.5), (-1e16, 1.0), (0.5, 0.0), (1e16, 0.125)],
             [1e16, -1e16, 0.5, 1.0],
         ),
+        # |delta chi| overflows to inf: 1.7e308 lies past every key with both
+        # neighbour distances inf, and so does the largest double as a target
+        # once the capacity-2 clusterer has absorbed 1.7e308.
+        "overflowing-distance": (
+            [(-1.7e308, 0.25), (-8e307, 0.75), (1.7e308, 0.5), (-1e307, 0.125)],
+            [1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1.7e308, 0.0],
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(TIE_STREAMS))
@@ -306,6 +331,45 @@ class TestAgainstReference:
         assert [c.count for c in ours.clusters] == ref.count
         for target in targets + ref.chi:
             assert ours.lookup(target).phi == ref.lookup(target), target
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (SequentialClusterer(1), RefSequential(1)),
+            lambda: (SequentialClusterer(4), RefSequential(4)),
+            lambda: (SequentialClusterer(12), RefSequential(12)),
+            lambda: (IncrementalClusterer(0.5), RefIncremental(0.5)),
+            lambda: (IncrementalClusterer(1e-3), RefIncremental(1e-3)),
+        ],
+        ids=["seq1", "seq4", "seq12", "incr0.5", "incr1e-3"],
+    )
+    def test_lookups_interleaved_with_seeding_and_reset(self, make):
+        # Lookups land during seeding, on the first search that builds the
+        # index, after later seeds and after resets.  Keys repeat and include
+        # both zeros and the smallest subnormal; a target at the largest
+        # double is at distance inf from every key of the opposite sign, so
+        # the walk ties across all of them when they share a sign.  Sums of
+        # a few thousand keys stay finite, so the oracles' running means apply.
+        values = [-2e300, -1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, 2e300]
+        targets = values + [1.7976931348623157e308, -1.7976931348623157e308]
+        rng = random.Random(4021)
+        ours, ref = make()
+        for _ in range(3000):
+            roll = rng.random()
+            if roll < 0.03:
+                ours.reset()
+                ref = make()[1]
+            elif roll < 0.5:
+                x, p = rng.choice(values), rng.random()
+                assert ours.learn(Sample(x, p)) == ref.learn(x, p), (x, p)
+            elif ref.chi:
+                target = rng.choice(targets)
+                assert ours.lookup(target).phi == ref.lookup(target), target
+            else:
+                with pytest.raises(UnlearnedError):
+                    ours.lookup(rng.choice(targets))
+        assert [c.chi_centroid for c in ours.clusters] == ref.chi
+        assert [c.count for c in ours.clusters] == ref.count
 
     @given(stream=sample_streams())
     @settings(max_examples=60, deadline=None)
