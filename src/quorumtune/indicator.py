@@ -124,8 +124,9 @@ class IndicatorProgram:
     """A parsed indicator expression: the original source plus its AST.
 
     The AST is compiled once, when the program is built, to the function
-    that :func:`evaluate` calls; that function takes no part in equality,
-    hashing or ``repr``, and a pickled or copied program compiles anew.
+    that :func:`evaluate` calls and the set of names it reads; neither takes
+    part in equality, hashing or ``repr``, and a pickled or copied program
+    compiles anew.
 
     Raises:
         IndicatorError: for an AST taller than :data:`MAX_DEPTH`, which only
@@ -135,9 +136,12 @@ class IndicatorProgram:
     source: str
     ast: Expr
     _run: Callable[[Bindings], float] = field(init=False, repr=False, compare=False)
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_run", _compile(_checked(self.ast, IndicatorError)))
+        run, names = _compile(self.ast, IndicatorError)
+        object.__setattr__(self, "_run", run)
+        object.__setattr__(self, "_names", names)
 
     def __reduce__(self):
         return type(self), (self.source, self.ast)
@@ -147,7 +151,7 @@ class IndicatorProgram:
 
     @property
     def free_variables(self) -> frozenset[str]:
-        return free_variables(self)
+        return self._names
 
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -306,31 +310,6 @@ def parse(source: str) -> IndicatorProgram:
     return IndicatorProgram(source=source, ast=_Parser(tokens).parse_program())
 
 
-def _checked(node: Expr | IndicatorProgram, error: type[IndicatorError]) -> Expr:
-    """The tree of ``node``, raising ``error`` if it is taller than
-    :data:`MAX_DEPTH`.
-
-    A program's tree was checked when the program was built.  A bare tree is
-    walked with an explicit stack, so this is safe on a tree of any height;
-    the recursive walks below run only on trees that passed.
-    """
-    if isinstance(node, IndicatorProgram):
-        return node.ast
-    stack = [(node, 1)]
-    while stack:
-        sub, height = stack.pop()
-        if height > MAX_DEPTH:
-            raise error(_TOO_DEEP)
-        height += 1
-        if isinstance(sub, BinOp):
-            stack += ((sub.left, height), (sub.right, height))
-        elif isinstance(sub, Neg):
-            stack.append((sub.operand, height))
-        elif isinstance(sub, Call):
-            stack.append((sub.arg, height))
-    return node
-
-
 # The errors that generated code raises, each naming a variable or a node.
 def _unbound(name: str) -> EvaluationError:
     return EvaluationError(f"unbound variable {name!r}")
@@ -372,8 +351,16 @@ _RUNTIME = {
 _IDENT_RE = re.compile(_IDENT)
 
 
-def _compile(ast: Expr) -> Callable[[Bindings], float]:
-    """One generated Python function that evaluates ``ast`` under bindings.
+def _compile(
+    ast: Expr, error: type[IndicatorError]
+) -> tuple[Callable[[Bindings], float], frozenset[str]]:
+    """One generated Python function that evaluates ``ast`` under bindings,
+    and the names of the variables it reads.
+
+    One walk does it all: it bounds the depth, raising ``error`` at the first
+    node deeper than :data:`MAX_DEPTH` (so it never recurses past
+    ``MAX_DEPTH + 1`` frames), and it collects each variable's name as it
+    gives the variable a local.
 
     The body is straight-line code in post-order, left before right: each
     variable is read into ``v_<name>`` at its first use, each interior
@@ -410,12 +397,15 @@ def _compile(ast: Expr) -> Callable[[Bindings], float]:
     def check_finite(node: Expr, operand: str) -> None:
         lines.append(f"if not _isfinite({operand}): raise _overflow({global_(node)}, {operand})")
 
-    def visit(node: Expr) -> tuple[str, bool]:
+    def visit(node: Expr, depth: int) -> tuple[str, bool]:
         """The operand that holds ``node``'s value once the lines so far
         have run, and whether that value is known to be finite."""
+        if depth > MAX_DEPTH:
+            raise error(_TOO_DEEP)
+        depth += 1
         if isinstance(node, BinOp):
-            left, left_finite = visit(node.left)
-            right, right_finite = visit(node.right)
+            left, left_finite = visit(node.left, depth)
+            right, right_finite = visit(node.right, depth)
             op = node.op
             if op in ("+", "*", "-"):
                 return temp(f"{left} {op} {right}"), False
@@ -458,8 +448,8 @@ def _compile(ast: Expr) -> Callable[[Bindings], float]:
             value = node.value
             return literal(value), type(value) is float and isfinite(value)
         if isinstance(node, Neg):
-            return temp(f"-{visit(node.operand)[0]}"), False
-        arg = visit(node.arg)[0]
+            return temp(f"-{visit(node.operand, depth)[0]}"), False
+        arg = visit(node.arg, depth)[0]
         if node.func == "log10":
             lines.append(
                 f"if {arg} <= 0.0: raise _domain_error({global_(node)}, "
@@ -468,12 +458,12 @@ def _compile(ast: Expr) -> Callable[[Bindings], float]:
             return temp(f"_log10({arg})"), False
         return temp(f"abs({arg})"), False
 
-    result, finite = visit(ast)
+    result, finite = visit(ast, 1)
     if not finite:
         check_finite(ast, result)
     body = "".join(f"    {line}\n" for line in lines)
     exec(f"def _indicator(bindings):\n{body}    return {result}\n", namespace)
-    return namespace["_indicator"]
+    return namespace["_indicator"], frozenset(local_of)
 
 
 def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
@@ -486,7 +476,7 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     a finite number) check their operands.
 
     A program runs the function compiled when it was built; a bare AST is
-    checked and compiled on each call.
+    compiled on each call.
 
     Raises:
         EvaluationError: for an unbound variable, a binding that is not a
@@ -497,7 +487,7 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     """
     if isinstance(program, IndicatorProgram):
         return program._run(bindings)  # the hot path: compiled when built
-    return _compile(_checked(program, EvaluationError))(bindings)
+    return _compile(program, EvaluationError)[0](bindings)
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:
@@ -512,10 +502,13 @@ def unparse(node: Expr | IndicatorProgram) -> str:
         IndicatorError: for a hand-built tree nested deeper than
             :data:`MAX_DEPTH`.
     """
-    return _unparse(_checked(node, IndicatorError))
+    return _unparse(node.ast if isinstance(node, IndicatorProgram) else node)
 
 
-def _unparse(node: Expr) -> str:
+def _unparse(node: Expr, depth: int = 1) -> str:
+    if depth > MAX_DEPTH:
+        raise IndicatorError(_TOO_DEEP)
+    depth += 1
     if isinstance(node, Num):
         value = node.value
         if value < 0.0 or math.copysign(1.0, value) < 0.0:
@@ -524,29 +517,20 @@ def _unparse(node: Expr) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_unparse(node.operand)})"
+        return f"(-{_unparse(node.operand, depth)})"
     if isinstance(node, BinOp):
-        return f"({_unparse(node.left)} {node.op} {_unparse(node.right)})"
-    return f"{node.func}({_unparse(node.arg)})"
+        return f"({_unparse(node.left, depth)} {node.op} {_unparse(node.right, depth)})"
+    return f"{node.func}({_unparse(node.arg, depth)})"
 
 
 def free_variables(node: Expr | IndicatorProgram) -> frozenset[str]:
-    """All variable names the expression reads.
+    """All variable names the expression reads; a bare tree is compiled to
+    collect them.
 
     Raises:
         IndicatorError: for a hand-built tree nested deeper than
             :data:`MAX_DEPTH`.
     """
-    return _free_variables(_checked(node, IndicatorError))
-
-
-def _free_variables(node: Expr) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return _free_variables(node.operand)
-    if isinstance(node, BinOp):
-        return _free_variables(node.left) | _free_variables(node.right)
-    if isinstance(node, Call):
-        return _free_variables(node.arg)
-    return frozenset()
+    if isinstance(node, IndicatorProgram):
+        return node._names
+    return _compile(node, IndicatorError)[1]

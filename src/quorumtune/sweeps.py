@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
@@ -196,12 +197,6 @@ def _sweep_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
-def _check_seed_and_sizes(bootstrap: int, tests: int, seed: int) -> None:
-    check_count(bootstrap, "bootstrap")
-    check_count(tests, "tests")
-    check_seed(seed)
-
-
 def _run_point(
     relation: RelationSpec,
     clusterer: _OnlineClusterer,
@@ -223,27 +218,37 @@ def _run_point(
 
 def _sweep(
     relation: RelationSpec,
-    clusterers: Sequence[_OnlineClusterer],
+    algorithm: str,
+    clusterers: Iterable[_OnlineClusterer],
+    key: Callable[[_OnlineClusterer], float],
+    row: Callable[[_OnlineClusterer, float], SequentialRow | IncrementalRow],
     bootstrap: int,
     tests: int,
     seed: int,
-) -> list[float]:
-    """The RMSE of each point of a sorted sweep; point ``i`` draws from
-    its own generator derived from ``(seed, i)``.  Every point is checked
-    before any runs."""
+) -> RmseReport:
+    """The report of a sweep over ``clusterers``, a lazy map over the sweep
+    values, run in ascending ``key`` order; point ``i`` draws from a
+    generator derived from ``(seed, i)`` and ``row`` makes its row.  All
+    checks come before any point runs: sizes and seed, each value as it is
+    built (before any comparison), emptiness, then seeding."""
+    check_count(bootstrap, "bootstrap")
+    check_count(tests, "tests")
+    check_seed(seed)
+    clusterers = sorted(clusterers, key=key)
     if not clusterers:
         raise ConfigError("a sweep needs at least one cluster count or threshold")
     for clusterer in clusterers:
         clusterer._check_bootstrap(bootstrap)
-    return [
-        _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests)
+    rows = tuple(
+        row(clusterer, _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests))
         for index, clusterer in enumerate(clusterers)
-    ]
+    )
+    return RmseReport(relation, algorithm, seed, bootstrap, tests, rows)
 
 
 def evaluate_sequential(
     relation: RelationSpec,
-    cluster_counts: Sequence[int],
+    cluster_counts: Iterable[int],
     bootstrap: int = 1000,
     tests: int = 100,
     seed: int = 0,
@@ -253,26 +258,16 @@ def evaluate_sequential(
     ``cluster_counts`` is sorted ascending before the sweep; each point gets
     its own generator derived from ``(seed, point index)``.
     """
-    _check_seed_and_sizes(bootstrap, tests, seed)
-    clusterers = sorted(map(SequentialClusterer, cluster_counts), key=lambda c: c.capacity)
-    rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
-    rows = tuple(
-        SequentialRow(clusters=clusterer.capacity, rmse=rmse)
-        for clusterer, rmse in zip(clusterers, rmses)
-    )
-    return RmseReport(
-        relation=relation,
-        algorithm="seq",
-        seed=seed,
-        bootstrap=bootstrap,
-        tests=tests,
-        rows=rows,
+    return _sweep(
+        relation, "seq", map(SequentialClusterer, cluster_counts), attrgetter("capacity"),
+        lambda clusterer, rmse: SequentialRow(clusterer.capacity, rmse),
+        bootstrap, tests, seed,
     )
 
 
 def evaluate_incremental(
     relation: RelationSpec,
-    thresholds: Sequence[float],
+    thresholds: Iterable[float],
     bootstrap: int = 1000,
     tests: int = 100,
     seed: int = 0,
@@ -282,18 +277,8 @@ def evaluate_incremental(
     ``thresholds`` is sorted ascending before the sweep; each point gets its
     own generator derived from ``(seed, point index)``.
     """
-    _check_seed_and_sizes(bootstrap, tests, seed)
-    clusterers = sorted(map(IncrementalClusterer, thresholds), key=lambda c: c.threshold)
-    rmses = _sweep(relation, clusterers, bootstrap, tests, seed)
-    rows = tuple(
-        IncrementalRow(threshold=clusterer.threshold, clusters=len(clusterer), rmse=rmse)
-        for clusterer, rmse in zip(clusterers, rmses)
-    )
-    return RmseReport(
-        relation=relation,
-        algorithm="incr",
-        seed=seed,
-        bootstrap=bootstrap,
-        tests=tests,
-        rows=rows,
+    return _sweep(
+        relation, "incr", map(IncrementalClusterer, thresholds), attrgetter("threshold"),
+        lambda clusterer, rmse: IncrementalRow(clusterer.threshold, len(clusterer), rmse),
+        bootstrap, tests, seed,
     )

@@ -220,3 +220,17 @@ def tuple_to_source(node) -> str:
         return f"{node[1]}({tuple_to_source(node[2])})"
     _, op, left, right = node
     return f"({tuple_to_source(left)} {op} {tuple_to_source(right)})"
+
+
+def tuple_free_variables(node) -> frozenset[str]:
+    """The names of the ("var", name) leaves of the tuple-form AST."""
+    tag = node[0]
+    if tag == "num":
+        return frozenset()
+    if tag == "var":
+        return frozenset((node[1],))
+    if tag == "neg":
+        return tuple_free_variables(node[1])
+    if tag == "call":
+        return tuple_free_variables(node[2])
+    return tuple_free_variables(node[2]) | tuple_free_variables(node[3])

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from oracles import random_ast, tuple_eval, tuple_to_source
+from oracles import random_ast, tuple_eval, tuple_free_variables, tuple_to_source
 from quorumtune import (
     BinOp,
     Call,
@@ -236,6 +236,15 @@ class TestRandomizedAgainstOracle:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
             checked += 1
 
+    def test_free_variables_match_oracle_leaves(self):
+        rnd = random.Random(9090)
+        for _ in range(300):
+            tree = random_ast(rnd, depth=8)
+            program = parse(tuple_to_source(tree))
+            expected = tuple_free_variables(tree)
+            assert free_variables(program.ast) == expected
+            assert program.free_variables == expected
+
     def test_round_trip_random_asts(self):
         rnd = random.Random(7171)
         for _ in range(300):
@@ -252,9 +261,30 @@ def negations(height):
     return tree
 
 
-@pytest.mark.parametrize("height", [MAX_DEPTH + 1, 5000])
-def test_hand_built_tree_past_the_limit_is_rejected(height):
-    tree = negations(height)
+def right_spine(height):
+    """A hand-built chain of ``height - 1`` powers, each nesting the next as
+    its right operand, over ``Num(2.0)``."""
+    tree = Num(2.0)
+    for _ in range(height - 1):
+        tree = BinOp("^", Num(2.0), tree)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        pytest.param(negations(MAX_DEPTH + 1), id=str(MAX_DEPTH + 1)),
+        pytest.param(negations(5000), id="5000"),
+        # The too-deep branch as the right operand of a BinOp whose left
+        # operand is shallow, and as the argument of a Call.
+        pytest.param(BinOp("+", Var("x"), negations(MAX_DEPTH)), id="binop-right-101"),
+        pytest.param(BinOp("*", Num(1.0), negations(4999)), id="binop-right-5000"),
+        pytest.param(right_spine(5000), id="right-spine-5000"),
+        pytest.param(Call("abs", negations(MAX_DEPTH)), id="call-arg-101"),
+        pytest.param(Call("log10", BinOp("-", Var("y"), negations(4998))), id="call-arg-5000"),
+    ],
+)
+def test_hand_built_tree_past_the_limit_is_rejected(tree):
     with pytest.raises(EvaluationError, match="deeper than"):
         evaluate(tree, {})
     with pytest.raises(IndicatorError, match="deeper than"):

@@ -149,6 +149,16 @@ class TestValidation:
             evaluate_sequential(LINEAR, [], tests=0, seed=1)
         with pytest.raises(ConfigError, match="capacity must be >= 1"):
             evaluate_sequential(LINEAR, [2000, 0], bootstrap=1000, seed=1)
+        # Each value is checked as it is built, before any two are compared.
+        for counts in ([5, "x"], ["x", 5]):
+            with pytest.raises(ConfigError, match="capacity must be an integer, got 'x'"):
+                evaluate_sequential(LINEAR, counts, seed=1)
+        with pytest.raises(ConfigError, match="threshold must be a real number, got 'x'"):
+            evaluate_incremental(LINEAR, [0.1, "x"], seed=1)
+
+    def test_sweep_values_may_be_a_generator(self):
+        report = evaluate_incremental(LINEAR, (tau for tau in reversed(SWEEP_TAUS)), seed=1)
+        assert report == evaluate_incremental(LINEAR, SWEEP_TAUS, seed=1)
 
     def test_report_invariants(self):
         with pytest.raises(ConfigError):
