@@ -2,12 +2,16 @@
 
 :func:`empirical_staleness` estimates the staleness probability by counting
 simulated reads.  A read is stale when its ``r`` replicas miss the ``w``
-that took the last write.  Replicas are exchangeable, so the write quorum is
-held fixed and only the read is drawn: the number of read replicas holding
-the write is hypergeometric (``r`` drawn from ``w`` good and ``n - w`` bad),
-and the read is stale when it is 0.  numpy's urn or HRUA sampler draws it
-and shares no code with the integer ratio in :mod:`quorumtune.quorum`.
-Cost: O(trials) time and O(``_CHUNK``) memory, independent of ``n``.
+that took the last write.  Replicas are exchangeable, so a trial draws only
+how many replicas the two quorums share.  That overlap has the same
+hypergeometric law whichever quorum is the sample, so the smaller one is:
+``min(r, w)`` drawn from ``max(r, w)`` good and ``n - max(r, w)`` bad
+replicas, stale at 0.  Below a sample of 10 numpy walks an urn, at most one
+step per sampled replica, and from 10 on it uses its slower HRUA method, so
+a trial costs what the smaller quorum costs, and (r, w) and (w, r) give the
+same estimate at the same seed.  The draw shares no code with the integer
+ratio in :mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``)
+memory, independent of ``n``.
 
 :func:`run_adaptation_loop` wires the whole toolkit together: monitor an
 application's (chi, phi) samples, learn the mapping with a clusterer, then
@@ -16,11 +20,13 @@ configuration, and report the indicator value actually achieved.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
 every run is reproducible bit for bit on a given numpy version.  The
-simulator's stream layout is part of that contract: trials are taken in
-chunks of ``_CHUNK`` and each chunk is one ``Generator.hypergeometric(w,
-n - w, r, size=rows)`` call, in chunk order.  numpy may change how its
-samplers consume the stream between feature releases (NEP 19), so pinned
-estimates hold for the numpy version in use.
+simulator's stream layout is part of that contract: its trials are
+consecutive ``Generator.hypergeometric(max(r, w), n - max(r, w), min(r,
+w))`` draws from one PCG64 stream.  They are taken ``_CHUNK`` at a time to
+bound memory, and the generator's state carries from one call to the next,
+so the chunk size changes no estimate.  numpy may change how its samplers
+consume the stream between feature releases (NEP 19), so pinned estimates
+hold for the numpy version in use.
 
 numpy is imported by the functions that build a generator (here and in
 :mod:`quorumtune.sweeps`), not at module level: the package, and the CLI
@@ -60,9 +66,9 @@ __all__ = [
 # logarithmic indicator relations stay inside their domain.
 PHI_FLOOR = 1e-6
 
-# Trials are simulated in fixed-size batches; the constant is part of the
-# reproducibility contract (it determines how the random stream is consumed)
-# and bounds the simulator's memory.
+# Trials are simulated in fixed-size batches, which bounds the simulator's
+# memory.  Consecutive hypergeometric calls continue one stream, so the
+# batch size does not change any seeded result.
 _CHUNK = 1 << 16
 
 # Monitored levels are drawn and learned this many at a time, which bounds
@@ -98,13 +104,14 @@ def empirical_staleness(sim: SimConfig) -> float:
     import numpy as np
 
     cfg = sim.config
+    small, large = sorted((cfg.r, cfg.w))
     rng = np.random.Generator(np.random.PCG64(sim.seed))
     stale = 0
     remaining = sim.trials
     while remaining > 0:
         rows = min(remaining, _CHUNK)
-        # Per trial, how many of the r read replicas hold the last write.
-        overlap = rng.hypergeometric(cfg.w, cfg.n - cfg.w, cfg.r, size=rows)
+        # Per trial, how many replicas the two quorums share.
+        overlap = rng.hypergeometric(large, cfg.n - large, small, size=rows)
         stale += rows - int(np.count_nonzero(overlap))
         del overlap  # so that one chunk is alive at a time
         remaining -= rows

@@ -135,6 +135,12 @@ class TestSimulate:
         code2, out2, _ = run(capsys, *args)
         assert out2 == out
 
+    def test_mirrored_pair_prints_the_readme_line(self, capsys):
+        # The estimate is symmetric in r and w at the same seed.
+        for r, w in (("2", "3"), ("3", "2")):
+            argv = ("simulate", "--r", r, "--w", w, "--n", "5", "--trials", "100000", "--seed", "7")
+            assert run(capsys, *argv) == (0, "empirical=0.10038 analytic=0.1\n", "")
+
     def test_n_beyond_the_sampler_exits_2(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--r", "1", "--w", "1", "--n", "1000000000",

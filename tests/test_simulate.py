@@ -23,6 +23,7 @@ from quorumtune import (
     staleness_probability,
     trace_to_csv,
 )
+from quorumtune import simulate
 
 
 def sim(r, w, n, trials=100_000, seed=1234):
@@ -81,6 +82,41 @@ class TestEmpiricalStaleness:
         for rows in (65_536, trials - 65_536):
             stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
         assert empirical_staleness(sim(2, 3, 7, trials=trials, seed=5)) == stale / trials
+
+    def test_stream_layout_read_larger_than_write(self):
+        # With r > w the write quorum is the sample, so (3, 2, 7) consumes
+        # the stream exactly as (2, 3, 7) does above.
+        trials = 70_000
+        rng = np.random.Generator(np.random.PCG64(5))
+        stale = 0
+        for rows in (65_536, trials - 65_536):
+            stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
+        assert empirical_staleness(sim(3, 2, 7, trials=trials, seed=5)) == stale / trials
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 20])
+    def test_symmetric_in_r_and_w(self, n):
+        # Every pair, weak and strong, gives its mirror's estimate bit for bit.
+        for r in range(1, n + 1):
+            for w in range(1, r):
+                assert empirical_staleness(sim(r, w, n, trials=3000)) == empirical_staleness(
+                    sim(w, r, n, trials=3000)
+                ), (r, w, n)
+
+    def test_symmetric_at_large_n(self):
+        r, w, n = 2, 10**7, 10**8 - 1
+        assert empirical_staleness(sim(r, w, n, trials=3000)) == empirical_staleness(
+            sim(w, r, n, trials=3000)
+        )
+
+    @pytest.mark.parametrize(
+        "r, w, n", [(2, 3, 7), (10, 10, 100)], ids=["urn", "hrua"]
+    )
+    def test_chunk_size_changes_no_estimate(self, monkeypatch, r, w, n):
+        # The generator's state carries across calls, so smaller batches
+        # consume the same stream.
+        expected = empirical_staleness(sim(r, w, n, trials=70_000, seed=5))
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        assert empirical_staleness(sim(r, w, n, trials=70_000, seed=5)) == expected
 
     @pytest.mark.parametrize(
         "r, w, n", [(30, 30, 1000), (1000, 1000, 10**6), (2, 10**7, 10**8 - 1)]
