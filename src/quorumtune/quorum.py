@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator
 
 from .errors import ConfigError, DomainError, SolveError, as_real, check_count
@@ -165,14 +165,21 @@ def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     return ConsistencyLevel((den - num) / den)
 
 
-def _level_row(i: int, n: int) -> Iterator[tuple[Fraction, int, int, int, QuorumConfig]]:
-    """Row ``r = i`` of the spectrum as ``(phi, i + j, i, j, config)``.
+def _level_row(i: int, n: int, scale: int) -> Iterator[tuple[int, int, int, int]]:
+    """Row ``r = i`` of the spectrum as ``(key, i + j, i, j)``.
 
-    The level never falls as ``j`` grows (it reaches 1 once ``i + j > n``)
-    and ``i + j`` rises, so the row is sorted on its first four fields.
+    ``key`` is ``-C(n-j, i) / C(n, i) * scale``, an exact integer whenever
+    ``scale`` is a multiple of ``C(n, i)``, so the level is
+    ``(scale + key) / scale``.  Along the row the staleness steps by one
+    exact factor, ``(n-j-i)/(n-j)``, as in :func:`_bracketing_pairs`.  The
+    level never falls as ``j`` grows (it reaches 1 once ``i + j > n``) and
+    ``i + j`` rises, so the row is sorted.
     """
+    key = -comb(n - i, i) * (scale // comb(n, i))
     for j in range(i, n + 1):
-        yield _phi_fraction(i, j, n), i + j, i, j, QuorumConfig(i, j, n)
+        yield key, i + j, i, j
+        if key:
+            key = key * (n - j - i) // (n - j)
 
 
 def iter_levels(n: int) -> Iterator[tuple[QuorumConfig, ConsistencyLevel]]:
@@ -183,11 +190,18 @@ def iter_levels(n: int) -> Iterator[tuple[QuorumConfig, ConsistencyLevel]]:
     ascending by level, then by quorum sum ``r + w``, then by ``(r, w)``.
     ``n`` is checked at the call.  The n sorted rows are merged through a
     heap of one entry per row, so memory holds O(n) entries, not the
-    n^2 / 2 of the output.
+    n^2 / 2 of the output.  Every row's key shares one integer scale, the
+    lcm of ``C(n, i)`` over the weak rows, so keys compare as integers and
+    each level is one correctly rounded division, as in
+    :func:`consistency_level`.
     """
     check_count(n, "n")
-    merged = heapq.merge(*(_level_row(i, n) for i in range(1, n + 1)))
-    return ((cfg, consistency_level(cfg)) for *_key, cfg in merged)
+    scale = lcm(*(comb(n, i) for i in range(1, n // 2 + 1)))
+    merged = heapq.merge(*(_level_row(i, n, scale) for i in range(1, n + 1)))
+    return (
+        (QuorumConfig(i, j, n), ConsistencyLevel((scale + key) / scale))
+        for key, _sum, i, j in merged
+    )
 
 
 def enumerate_levels(n: int) -> list[tuple[QuorumConfig, ConsistencyLevel]]:

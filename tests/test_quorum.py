@@ -214,6 +214,19 @@ class TestEnumerateLevels:
         got = [(cfg.r, cfg.w, level.phi) for cfg, level in iter_levels(n)]
         assert got == expected
 
+    @pytest.mark.parametrize("n", [61, 97])
+    def test_merge_keys_give_consistency_levels(self, n):
+        # The rows share one integer scale; each key still yields the float
+        # consistency_level rounds from the exact ratio, in exact order.
+        got = [(cfg, level.phi) for cfg, level in iter_levels(n)]
+        assert [phi for _, phi in got] == [consistency_level(cfg).phi for cfg, _ in got]
+        exact = [
+            (-enumeration_fraction_fast(cfg.r, cfg.w, n), cfg.r + cfg.w, cfg.r, cfg.w)
+            for cfg, _ in got
+        ]
+        assert exact == sorted(exact)
+        assert len(got) == n * (n + 1) // 2
+
     def test_iter_levels_memory_is_linear_in_n(self):
         # The merge holds one entry per row; a list of all 20,100 pairs at
         # n = 200 takes about 9 MB.

@@ -1,6 +1,7 @@
 """Unit tests for the Monte-Carlo simulator and the closed adaptation loop."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -128,6 +129,55 @@ class TestEmpiricalStaleness:
         estimate = empirical_staleness(sim(r, w, n, trials=trials, seed=n + r))
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
+
+    def test_stream_layout_stepped(self):
+        # With min(r, w) >= 10 and 2 * max(r, w) >= n, each chunk reads the
+        # smaller quorum one replica at a time, over the trials that have
+        # not yet met the larger quorum.
+        trials = 70_000
+        rng = np.random.Generator(np.random.PCG64(5))
+        stale = 0
+        for alive in (65_536, trials - 65_536):
+            for j in range(10):
+                if alive == 0:
+                    break
+                alive -= int(np.sum(rng.hypergeometric(20, 20 - j, 1, size=alive) == 1))
+            stale += alive
+        assert stale > 0
+        assert empirical_staleness(sim(10, 20, 40, trials=trials, seed=5)) == stale / trials
+        assert empirical_staleness(sim(20, 10, 40, trials=trials, seed=5)) == stale / trials
+
+    def test_stepped_matches_analytic(self):
+        analytic = staleness_probability(QuorumConfig(10, 20, 40))  # about 2.18e-4
+        trials = 10**6
+        estimate = empirical_staleness(sim(10, 20, 40, trials=trials, seed=11))
+        sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
+        assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
+
+    @pytest.mark.parametrize("r, w, n", [(10, 11, 20), (15, 15, 20), (20, 20, 20)])
+    def test_stepped_strong_pair_never_stale(self, r, w, n):
+        # Every trial meets the larger quorum before the urn runs out of
+        # replicas outside it.
+        assert empirical_staleness(sim(r, w, n, trials=70_000)) == 0.0
+
+    def test_stepped_stops_when_no_trial_is_left(self):
+        # Each step meets the larger quorum with probability at least 1/2,
+        # so a chunk ends after a few dozen steps, not 10**6.
+        config = sim(10**6, 10**6, 2 * 10**6)
+        start = time.perf_counter()
+        assert empirical_staleness(config) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_stepped_memory_bounded(self):
+        config = sim(10, 10, 20, trials=200_000)
+        empirical_staleness(sim(10, 10, 20, trials=1))  # first-call imports aside
+        tracemalloc.start()
+        try:
+            empirical_staleness(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_memory_bounded_in_n(self):
         config = sim(1, 1, 10**8, trials=200_000)
