@@ -64,43 +64,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_list(text: str, kind_label: str, convert, parser: argparse.ArgumentParser):
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+    # int and float strip the whitespace around each piece themselves.
+    try:
+        items = [convert(piece) for piece in text.split(",") if piece.strip()]
+    except ValueError:
+        items = []
     if not items:
         parser.error(f"expected a comma-separated list of {kind_label}, got {text!r}")
-    try:
-        return [convert(piece) for piece in items]
-    except ValueError:
-        parser.error(f"expected a comma-separated list of {kind_label}, got {text!r}")
+    return items
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_phi(args: argparse.Namespace) -> None:
     level = consistency_level(QuorumConfig(r=args.r, w=args.w, n=args.n))
     print(repr(level.phi))
-    return 0
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> None:
     options = SolveOptions(mode=SolveMode(args.mode), read_write_bias=_BIASES[args.bias])
     cfg = solve_quorum(args.phi, args.n, options)
     print(f"{cfg.r} {cfg.w} {consistency_level(cfg).phi!r}")
-    return 0
 
 
-def _cmd_levels(args: argparse.Namespace) -> int:
+def _cmd_levels(args: argparse.Namespace) -> None:
     levels = iter_levels(args.n)  # checks n before the header is printed
     print("r,w,phi")
     for cfg, level in levels:
         print(f"{cfg.r},{cfg.w},{level.phi!r}")
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = QuorumConfig(r=args.r, w=args.w, n=args.n)
     sim = SimConfig(config=cfg, trials=args.trials, seed=args.seed)
     empirical = empirical_staleness(sim)
     analytic = staleness_probability(cfg)
     print(f"empirical={empirical!r} analytic={analytic!r}")
-    return 0
 
 
 def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
@@ -118,7 +115,7 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     relation = _relation_from_args(args)
     if args.algo == "seq":
         sweep = _split_list(args.sweep, "cluster counts", int, args.subparser)
@@ -128,7 +125,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         run_sweep = evaluate_incremental
     with _open_out(args.out) as handle:
         handle.write(run_sweep(relation, sweep, args.bootstrap, args.tests, args.seed).to_csv())
-    return 0
 
 
 def _parse_const(text: str) -> tuple[str, float]:
@@ -138,7 +134,7 @@ def _parse_const(text: str) -> tuple[str, float]:
     return name.strip(), float(value)
 
 
-def _cmd_loop(args: argparse.Namespace) -> int:
+def _cmd_loop(args: argparse.Namespace) -> None:
     program = parse_indicator(args.expr)
     targets = _split_list(args.targets, "target chi values", float, args.subparser)
     constants = {}
@@ -169,12 +165,10 @@ def _cmd_loop(args: argparse.Namespace) -> int:
     )
     with _open_out(args.out) as handle:
         handle.write(trace_to_csv(run_adaptation_loop(loop)))
-    return 0
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace) -> None:
     print(repr(parse_indicator(args.expr).ast))
-    return 0
 
 
 def _add_constant_flags(parser: argparse.ArgumentParser) -> None:
@@ -268,7 +262,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except SystemExit as exc:  # usage errors, while parsing or after (e.g. malformed lists)
         return 0 if exc.code in (0, None) else int(exc.code)
     except (DomainError, OSError) as exc:

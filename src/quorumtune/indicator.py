@@ -32,10 +32,9 @@ Python function of the bindings: straight-line code with one statement per
 node, in the order a recursive evaluation would visit them, so each error is
 the one that evaluation would raise first.  Generating source text is safe
 here because nothing from the input reaches it unquoted: a parsed name
-matches ``[A-Za-z][A-Za-z0-9_]*`` and is emitted under a ``v_`` prefix
-(never a keyword, a temporary or a helper), and as a dictionary key
-through ``repr``; a parsed literal is a finite float, emitted with
-``repr``.  Anything else a hand-built tree holds, and each node that an
+appears only as a dictionary key, through ``repr``, and its value is read
+into a numbered local ``v<k>``; a parsed literal is a finite float, emitted
+with ``repr``.  Anything else a hand-built tree holds, and each node that an
 error message would name, is passed to the function as a global, not as
 text.  So the generated source grows linearly in the expression's length,
 as do the time and memory to compile it.
@@ -154,13 +153,11 @@ class IndicatorProgram:
         return self._names
 
 
-_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
-
 _TOKEN_RE = re.compile(
-    rf"""
+    r"""
     (?P<ws>\s+)
   | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>{_IDENT})
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
     """,
     re.VERBOSE,
@@ -348,8 +345,6 @@ _RUNTIME = {
     "_domain_error": _domain_error,
 }
 
-_IDENT_RE = re.compile(_IDENT)
-
 
 def _compile(
     ast: Expr, error: type[IndicatorError]
@@ -363,7 +358,7 @@ def _compile(
     gives the variable a local.
 
     The body is straight-line code in post-order, left before right: each
-    variable is read into ``v_<name>`` at its first use, each interior
+    variable is read into a local ``v<k>`` at its first use, each interior
     node's value goes into a temporary ``t<k>``, and each node's checks come
     just before its operation.  An operand that is a variable or a finite
     literal is finite already, so its overflow test is left out.  A failed
@@ -430,11 +425,7 @@ def _compile(
             name = node.name
             local = local_of.get(name)
             if local is None:
-                if isinstance(name, str) and _IDENT_RE.fullmatch(name):
-                    local = f"v_{name}"
-                else:
-                    local = f"v{len(local_of)}"
-                local_of[name] = local
+                local = local_of[name] = f"v{len(local_of)}"
                 key = literal(name)
                 lines.extend([
                     f"if {key} not in bindings: raise _unbound({key})",

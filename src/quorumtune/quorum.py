@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator
 
@@ -135,11 +134,6 @@ def _staleness_ratio(r: int, w: int, n: int) -> tuple[int, int]:
     yields a bit-identical result.
     """
     return comb(n - w, r), comb(n, r)
-
-
-def _phi_fraction(r: int, w: int, n: int) -> Fraction:
-    num, den = _staleness_ratio(r, w, n)
-    return Fraction(den - num, den)
 
 
 def staleness_probability(config: QuorumConfig) -> float:

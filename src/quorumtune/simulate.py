@@ -39,9 +39,10 @@ so there the chunk size is part of the layout.  numpy may change how its
 samplers consume the stream between feature releases (NEP 19), so pinned
 estimates hold for the numpy version in use.
 
-numpy is imported by the functions that build a generator (here and in
-:mod:`quorumtune.sweeps`), not at module level: the package, and the CLI
-commands that draw nothing, start without paying for its import.
+Every generator, the sweeps' included, comes from :func:`_generator`.  It
+and the simulator import numpy when called, not at module level, so the
+package and the CLI commands that draw nothing start without paying for
+its import.
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ _HRUA_SAMPLE = 10
 _LEVELS_PER_DRAW = 4096
 
 
+def _generator(*entropy: int) -> np.random.Generator:
+    """numpy's PCG64 generator seeded from ``entropy``: the simulator and the
+    loop pass their seed, and each sweep point ``(seed, index)``.  A single
+    seed draws the same stream as ``PCG64(seed)``."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """A Monte-Carlo staleness experiment: ``trials`` reads against the
@@ -123,7 +133,7 @@ def empirical_staleness(sim: SimConfig) -> float:
     small, large = sorted((cfg.r, cfg.w))
     bad = cfg.n - large
     stepped = small >= _HRUA_SAMPLE and large >= bad
-    rng = np.random.Generator(np.random.PCG64(sim.seed))
+    rng = _generator(sim.seed)
     stale = 0
     remaining = sim.trials
     while remaining > 0:
@@ -226,9 +236,7 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
     The loop's clusterer is trained in place.  Deterministic given
     ``loop.seed``.
     """
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(loop.seed))
+    rng = _generator(loop.seed)
     bindings = dict(loop.constants)
     _monitor(loop.relation, bindings, loop.clusterer, rng, loop.bootstrap_samples)
 

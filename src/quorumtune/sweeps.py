@@ -33,7 +33,7 @@ from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineCluste
 from .clustering import Sample  # noqa: F401
 from .errors import ConfigError, as_real, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
-from .simulate import PHI_FLOOR, _monitor
+from .simulate import PHI_FLOOR, _generator, _monitor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,32 +111,31 @@ class RelationSpec:
         return evaluate(self.program, bindings)
 
 
-def chi_range(relation: RelationSpec, lo: float = PHI_FLOOR, hi: float = 1.0) -> tuple[float, float]:
-    """The (min, max) of the relation over phi in [lo, hi].
+def chi_range(relation: RelationSpec) -> tuple[float, float]:
+    """The (min, max) of the relation over phi in [PHI_FLOOR, 1].
 
-    The families are closed forms, so extrema sit at interval endpoints or
-    at the stationary points of the derivative: the vertex ``-B/(2A)`` for
-    the quadratic, the roots of ``3A*phi^2 + 2B*phi + C`` for the cubic.
-    Linear and logarithmic relations are monotone.
+    The families are closed forms, so extrema sit at the interval's ends or
+    at the roots of the derivative ``a*phi^2 + b*phi + c``, where ``(a, b,
+    c)`` is ``(0, 2A, B)`` for the quadratic, ``(3A, 2B, C)`` for the cubic
+    and all zeros for the monotone linear and logarithmic relations.  The
+    roots are the two of the quadratic formula where ``a != 0`` and the
+    discriminant is >= 0, or ``-c / b`` where only ``b != 0``.
     """
-    candidates = [lo, hi]
-    if relation.family is RelationFamily.QUADRATIC and relation.a != 0.0:
-        vertex = -relation.b / (2.0 * relation.a)
-        if lo < vertex < hi:
-            candidates.append(vertex)
-    if relation.family is RelationFamily.CUBIC:
+    family = relation.family
+    if family is RelationFamily.QUADRATIC:
+        a, b, c = 0.0, 2.0 * relation.a, relation.b
+    elif family is RelationFamily.CUBIC:
         a, b, c = 3.0 * relation.a, 2.0 * relation.b, relation.c
-        if a != 0.0:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0.0:
-                for sign in (-1.0, 1.0):
-                    root = (-b + sign * math.sqrt(disc)) / (2.0 * a)
-                    if lo < root < hi:
-                        candidates.append(root)
-        elif b != 0.0:
-            root = -c / b
-            if lo < root < hi:
-                candidates.append(root)
+    else:
+        a = b = c = 0.0
+    roots: list[float] = []
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            roots = [(-b + sign * math.sqrt(disc)) / (2.0 * a) for sign in (-1.0, 1.0)]
+    elif b != 0.0:
+        roots = [-c / b]
+    candidates = [PHI_FLOOR, 1.0] + [root for root in roots if PHI_FLOOR < root < 1.0]
     values = [relation.chi(x) for x in candidates]
     return min(values), max(values)
 
@@ -191,12 +190,6 @@ class RmseReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_rng(seed: int, index: int) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
-
-
 def _run_point(
     relation: RelationSpec,
     clusterer: _OnlineClusterer,
@@ -210,9 +203,14 @@ def _run_point(
     lo, hi = chi_range(relation)
     targets = lo + rng.random(tests) * (hi - lo)
     squares = 0.0
-    for target in targets.tolist():
-        bindings["phi"] = clusterer.lookup(target).phi
-        squares += (target - evaluate(program, bindings)) ** 2
+    try:
+        for target in targets.tolist():
+            bindings["phi"] = clusterer.lookup(target).phi
+            squares += (target - evaluate(program, bindings)) ** 2
+    except OverflowError:  # a finite error too large to square
+        squares = math.inf
+    if squares == math.inf:
+        raise ConfigError("squared errors overflow; the relation's constants are too large")
     return math.sqrt(squares / tests)
 
 
@@ -240,7 +238,7 @@ def _sweep(
     for clusterer in clusterers:
         clusterer._check_bootstrap(bootstrap)
     rows = tuple(
-        row(clusterer, _run_point(relation, clusterer, _sweep_rng(seed, index), bootstrap, tests))
+        row(clusterer, _run_point(relation, clusterer, _generator(seed, index), bootstrap, tests))
         for index, clusterer in enumerate(clusterers)
     )
     return RmseReport(relation, algorithm, seed, bootstrap, tests, rows)

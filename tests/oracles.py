@@ -57,6 +57,12 @@ def bitmask_staleness_table(n: int) -> dict[tuple[int, int], Fraction]:
     return table
 
 
+def _phi_fraction(r: int, w: int, n: int) -> Fraction:
+    """The exact consistency level of (r, w, n): one minus the chance that a
+    uniform r-subset misses a fixed w-subset, as C(n - w, r) / C(n, r)."""
+    return 1 - Fraction(math.comb(n - w, r), math.comb(n, r))
+
+
 def _spectrum(n: int) -> tuple[tuple[int, int, Fraction], ...]:
     """All canonical pairs (i, j, phi) with 1 <= i <= j <= n, phi exact.
 

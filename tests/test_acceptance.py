@@ -44,7 +44,7 @@ from quorumtune import (
     staleness_probability,
     unparse,
 )
-from quorumtune.quorum import _phi_fraction
+from oracles import _phi_fraction
 
 FAMILIES = (
     RelationFamily.LINEAR,

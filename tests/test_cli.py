@@ -1,11 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quorumtune import cli
 from quorumtune.cli import build_parser, main
@@ -197,6 +201,17 @@ class TestEvaluate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("algo,kind", [("seq", "cluster counts"), ("incr", "thresholds")])
+    def test_empty_sweep_is_usage_error(self, capsys, tmp_path, algo, kind):
+        code, out, err = run(
+            capsys,
+            "evaluate", "--relation", "linear", "--algo", algo,
+            "--sweep", ",", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )  # fmt: skip
+        assert code == 1
+        assert out == ""
+        assert f"error: expected a comma-separated list of {kind}, got ','" in err
+
     def test_domain_error_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -257,6 +272,15 @@ class TestLoop:
             "--n", "5", "--seed", "3", "--const", "A",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("targets", [" , ", "0.5,x"])
+    def test_malformed_targets_are_usage_error(self, capsys, targets):
+        code, out, err = run(
+            capsys, "loop", "--expr", "phi", "--targets", targets, "--n", "5", "--seed", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: expected a comma-separated list of target chi values, got {targets!r}" in err
 
     def test_expression_syntax_error_is_domain_error(self, capsys):
         code, _, err = run(
@@ -415,3 +439,88 @@ main(["simulate", "--r", "2", "--w", "3", "--n", "5", "--trials", "100000", "--s
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\nempirical=0.10038 analytic=0.1\n"
+
+
+# Argument values for the exit-contract property: mostly well-formed, with
+# malformed and out-of-range ones mixed in.  Sizes stay small (n <= 200,
+# trials and bootstrap <= 1000) so that every drawn command runs quickly.
+_JUNK = st.sampled_from(["", "abc", "1.5", "1_0", "nan", "-inf", "1e400", "--r"])
+
+
+def _mostly(values, other=_JUNK):
+    """A draw from ``values`` 19 times in 20, from ``other`` otherwise."""
+    return st.integers(0, 19).flatmap(lambda k: other if k == 19 else values)
+
+
+def _choice(*values):
+    return _mostly(st.sampled_from(values))
+
+
+_SIZE = _mostly(st.integers(1, 200).map(str), st.sampled_from(["0", "-2"]) | _JUNK)
+_COUNT = _mostly(st.integers(1, 1000).map(str), st.sampled_from(["0", "-2"]) | _JUNK)
+_SEED = _mostly(st.sampled_from(["0", "7", str(2**64 - 1)]), st.sampled_from(["-1", str(2**64)]))
+_REAL = _mostly(st.floats(-1.0, 2.0).map(repr), st.sampled_from(["1e308", "-1e-300"]) | _JUNK)
+_LIST = _mostly(
+    st.lists(_REAL, min_size=1, max_size=4).map(",".join), st.sampled_from([",", " , ", "0.5,,1"])
+)
+_EXPR = _mostly(
+    st.sampled_from(["phi", "-phi", "2*phi^3 - phi", "log10(phi)", "abs(phi - 0.5)", "A*phi + C"]),
+    st.sampled_from(["1/(phi - phi)", "phi^", "foo(phi)", "((phi", "1e400*phi", "phi*1e308*10"])
+    | st.text(alphabet="phiAC01.+-*/^()", max_size=10),
+)
+_OUT = _mostly(st.just("x.csv"), st.just("missing/x.csv"))
+
+# Each command's flags, with the strategy for the value of each.
+_FLAGS = {
+    "phi": {"--r": _SIZE, "--w": _SIZE, "--n": _SIZE},
+    "solve": {
+        "--phi": _REAL, "--n": _SIZE,
+        "--mode": _choice("faithful", "extended"), "--bias": _choice("reads", "writes", "balanced"),
+    },
+    "levels": {"--n": _SIZE},
+    "simulate": {"--r": _SIZE, "--w": _SIZE, "--n": _SIZE, "--trials": _COUNT, "--seed": _SEED},
+    "evaluate": {
+        "--relation": _choice("linear", "quadratic", "cubic", "log"), "--algo": _choice("seq", "incr"),
+        "--sweep": _mostly(st.lists(_SIZE, min_size=1, max_size=4).map(",".join), _LIST),
+        "--bootstrap": _COUNT, "--tests": _COUNT, "--seed": _SEED, "--out": _OUT,
+        "--A": _REAL, "--B": _REAL, "--C": _REAL, "--D": _REAL,
+    },
+    "loop": {
+        "--expr": _EXPR, "--targets": _LIST, "--algo": _choice("seq", "incr"), "--capacity": _COUNT,
+        "--threshold": _REAL, "--n": _SIZE, "--bootstrap": _COUNT, "--seed": _SEED,
+        "--const": st.sampled_from(["A=1", "C=0", "A=x", "A", "=1", "C=1e400"]), "--out": _OUT,
+    },
+    "parse": {"--expr": _EXPR},
+}
+
+
+@st.composite
+def _argv(draw, directory):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        # Each flag is given once in most draws, and sometimes left out or
+        # repeated.  A value is glued on with "=" or given as the next word,
+        # where a leading "-" makes it read as a flag.
+        for _ in range(draw(_mostly(st.just(1), st.sampled_from([0, 2])))):
+            value = draw(values)
+            if flag == "--out":
+                value = str(directory / value)
+            argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+    return argv + draw(_mostly(st.just([]), st.sampled_from([["--help"], ["--bogus"], ["extra"]])))
+
+
+class TestExitContract:
+    """Every input ends in exit 0, 1 or 2, and a failure says why on stderr."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_argv_exits_0_1_or_2_with_a_message(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("out")
+        argv = data.draw(_argv(directory), label="argv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert "error" in stderr.getvalue()

@@ -1,5 +1,8 @@
 """Unit tests for the online clusterers."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import time
 
@@ -40,6 +43,19 @@ class TestSample:
     def test_rejects_bad_values(self, chi, phi):
         with pytest.raises(DomainError):
             Sample(chi=chi, phi=phi)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda sample: pickle.loads(pickle.dumps(sample))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_frozen(self, clone):
+        sample = Sample(chi=-2.5, phi=0.75)
+        copied = clone(sample)
+        assert copied == sample and type(copied) is Sample
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.chi = 0.0
+        assert (copied.chi, copied.phi) == (-2.5, 0.75)
 
 
 class TestSequential:

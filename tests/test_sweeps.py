@@ -94,6 +94,23 @@ class TestChiRange:
         assert lo <= values.min() + 1e-9 and lo == pytest.approx(values.min(), abs=1e-8)
         assert hi >= values.max() - 1e-9 and hi == pytest.approx(values.max(), abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "spec,coefficients,root",
+        [
+            # The derivative 2*phi - 1 is linear, with its root at 0.5.
+            (RelationSpec(RelationFamily.CUBIC, a=0.0, b=1.0, c=-1.0), (0.0, 1.0, -1.0, 0.0), 0.5),
+            # The vertex -B/(2A) lies inside the interval, at 0.25.
+            (RelationSpec(RelationFamily.QUADRATIC, a=2.0, b=-1.0, c=0.5), (2.0, -1.0, 0.5), 0.25),
+        ],
+        ids=["cubic-a0", "quadratic-vertex"],
+    )
+    def test_root_of_a_linear_derivative(self, spec, coefficients, root):
+        lo, hi = chi_range(spec)
+        assert lo == spec.chi(root)
+        values = np.polyval(coefficients, np.linspace(1e-6, 1.0, 200001))
+        assert lo <= values.min() and hi >= values.max()
+        assert hi == pytest.approx(values.max(), abs=1e-12)
+
     def test_logarithmic(self):
         spec = RelationSpec(RelationFamily.LOGARITHMIC)
         lo, hi = chi_range(spec)
@@ -155,6 +172,20 @@ class TestValidation:
                 evaluate_sequential(LINEAR, counts, seed=1)
         with pytest.raises(ConfigError, match="threshold must be a real number, got 'x'"):
             evaluate_incremental(LINEAR, [0.1, "x"], seed=1)
+
+    @pytest.mark.parametrize(
+        "spec,tests",
+        [
+            # One error too large to square.
+            (RelationSpec(RelationFamily.QUADRATIC, a=1.5, b=1e308, c=1.5), 1),
+            # Squares that are finite one by one but not in sum.
+            (RelationSpec(RelationFamily.LINEAR, a=1e154, c=0.0), 1000),
+        ],
+        ids=["square", "sum"],
+    )
+    def test_overflowing_squared_error(self, spec, tests):
+        with pytest.raises(ConfigError, match="squared errors overflow"):
+            evaluate_sequential(spec, [1], bootstrap=1, tests=tests, seed=0)
 
     def test_sweep_values_may_be_a_generator(self):
         report = evaluate_incremental(LINEAR, (tau for tau in reversed(SWEEP_TAUS)), seed=1)
