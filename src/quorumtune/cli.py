@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import re
 import sys
 from typing import Sequence
 
@@ -57,6 +58,12 @@ _BIASES = {
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this CLI reserves 2 for
     domain errors, so usage problems are remapped to exit status 1."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1,-0.5" as a flag, since it is not a plain number;
+        # no option here starts with "-<digit>", so such a word is a value.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)

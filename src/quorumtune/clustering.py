@@ -132,7 +132,12 @@ class _OnlineClusterer:
         return sum(self._count)
 
     def _check_bootstrap(self, count: int) -> None:
-        """Raise ConfigError when ``count`` bootstrap samples are too few (never, here)."""
+        """Raise ConfigError when ``count`` bootstrap samples would not fill the seeds."""
+        if count < self.capacity:
+            raise ConfigError(
+                f"bootstrap size {count} is below the sequential capacity {self.capacity}; "
+                "the clusterer would never leave its seeding phase"
+            )
 
     def learn(self, sample: Sample) -> int:
         """Fold one sample into the state; returns the assigned cluster index."""
@@ -157,17 +162,15 @@ class _OnlineClusterer:
                 if (position + 1 < len(keys) and keys[position + 1] <= new) or (
                     position and keys[position - 1] >= new
                 ):
-                    self._resort(position, k, new)
+                    del keys[position], self._ids[position]
+                    self._insert(k, new)
                 return k
         k = len(chis)
         chis.append(chi)
         self._phi.append(sample.phi)
         self._count.append(1)
         if self._keys:
-            # The new id is the largest, so it goes after every equal key.
-            i = bisect_right(self._keys, chi)
-            self._keys.insert(i, chi)
-            self._ids.insert(i, k)
+            self._insert(k, chi)
         return k
 
     def _nearest(self, chi: float) -> tuple[int, int, float]:
@@ -205,13 +208,13 @@ class _OnlineClusterer:
             j -= 1
         return position, k, left
 
-    def _resort(self, position: int, k: int, chi: float) -> None:
+    def _insert(self, k: int, chi: float) -> None:
+        """Enter cluster ``k`` at ``chi`` into the (chi, id)-ordered index."""
         keys = self._keys
         ids = self._ids
-        del keys[position], ids[position]
         i = bisect_left(keys, chi)
-        while i < len(keys) and keys[i] == chi and ids[i] < k:
-            i += 1
+        if i < len(keys) and keys[i] == chi:
+            i = bisect_left(ids, k, i, bisect_right(keys, chi, i))
         keys.insert(i, chi)
         ids.insert(i, k)
 
@@ -247,13 +250,6 @@ class SequentialClusterer(_OnlineClusterer):
         check_count(capacity, "capacity")
         super().__init__()
         self.capacity = capacity
-
-    def _check_bootstrap(self, count: int) -> None:
-        if count < self.capacity:
-            raise ConfigError(
-                f"bootstrap size {count} is below the sequential capacity {self.capacity}; "
-                "the clusterer would never leave its seeding phase"
-            )
 
 
 class IncrementalClusterer(_OnlineClusterer):

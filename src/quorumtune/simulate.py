@@ -2,21 +2,21 @@
 
 :func:`empirical_staleness` estimates the staleness probability by counting
 simulated reads.  A read is stale when its ``r`` replicas miss the ``w``
-that took the last write.  Replicas are exchangeable, so a trial draws only
-how many replicas the two quorums share.  That overlap has the same
+that took the last write, which a strong pair (``r + w > n``) never does, so
+it returns 0.0 without drawing.  Replicas are exchangeable, so a trial draws
+only how many replicas the two quorums share.  That overlap has the same
 hypergeometric law whichever quorum is the sample, so the smaller one is:
 ``min(r, w)`` drawn from ``max(r, w)`` good and ``n - max(r, w)`` bad
 replicas, stale at 0, and (r, w) and (w, r) give the same estimate at the
-same seed.  Below a sample of 10 numpy walks an urn, at most one step per
-sampled replica.  From 10 on it switches to its slower HRUA method.  Where
-also ``2 * max(r, w) >= n`` (the *stepped region*), the simulator instead
-reads the smaller quorum one replica at a time, each step a sample of 1,
-and a trial leaves at its first replica from the larger quorum; by the
-chain rule the stale count has the same law.  There each step meets the
-larger quorum with probability at least 1/2, so a trial takes at most 2
-steps in expectation and a chunk about log2(``_CHUNK``) + O(1) numpy calls.
-Where ``2 * max(r, w) < n`` a trial could take many steps, so the single
-HRUA draw is kept.  The draws share no code with the integer ratio in
+same seed.  The smaller quorum is read ``step`` replicas at a time, and a
+trial leaves at the first step that meets the larger quorum; by the chain
+rule the stale count has the same law for any step.  Below a sample of 10
+numpy walks an urn, at most one step per sampled replica; from 10 on it
+uses its slower HRUA method.  There, where also ``2 * max(r, w) >= n`` (the
+*stepped region*), the step is 1: each replica meets the larger quorum with
+probability at least 1/2, so a trial takes at most 2 steps in expectation
+and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere one step
+reads the whole quorum.  The draws share no code with the integer ratio in
 :mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``) memory,
 independent of ``n``.
 
@@ -27,17 +27,16 @@ configuration, and report the indicator value actually achieved.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
 every run is reproducible bit for bit on a given numpy version.  The
-simulator's stream layout is part of that contract.  Outside the stepped
-region its trials are consecutive ``Generator.hypergeometric(max(r, w),
-n - max(r, w), min(r, w))`` draws from one PCG64 stream.  They are taken
-``_CHUNK`` at a time to bound memory, and the generator's state carries
-from one call to the next, so there the chunk size changes no estimate.
-Inside it, each chunk takes step ``j`` as one
-``Generator.hypergeometric(max(r, w), n - max(r, w) - j, 1)`` call over
-its trials not yet out, until none is left or ``min(r, w)`` steps are done,
-so there the chunk size is part of the layout.  numpy may change how its
-samplers consume the stream between feature releases (NEP 19), so pinned
-estimates hold for the numpy version in use.
+simulator's stream layout is part of that contract: each chunk of
+``_CHUNK`` trials takes step ``j`` as one ``Generator.hypergeometric(max(r,
+w), n - max(r, w) - j, step)`` call over its trials still reading, until
+none is left or ``min(r, w)`` replicas are read; ``step`` is 1 in the
+stepped region and ``min(r, w)`` elsewhere.  The generator's state carries
+from one call to the next, so outside the stepped region (one call per
+chunk) the chunk size changes no estimate; inside it, it is part of the
+layout.  numpy may change how its samplers consume the stream between
+feature releases (NEP 19), so pinned estimates hold for the numpy version
+in use.
 
 Every generator, the sweeps' included, comes from :func:`_generator`.  It
 and the simulator import numpy when called, not at module level, so the
@@ -79,13 +78,14 @@ __all__ = [
 PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches, which bounds the simulator's
-# memory.  Consecutive hypergeometric calls continue one stream, so outside
-# the stepped region (see the module docstring) the batch size changes no
-# seeded result; inside it, each batch steps on its own, so it does.
+# memory.  Consecutive hypergeometric calls continue one stream, so where one
+# step reads the whole quorum (see the module docstring) the batch size
+# changes no seeded result; in the stepped region it does.
 _CHUNK = 1 << 16
 
 # From this sample size on, numpy's hypergeometric sampler switches from an
-# urn walk to its slower ratio-of-uniforms method (HRUA).
+# urn walk to its slower ratio-of-uniforms method (HRUA); the stepped region
+# starts here.
 _HRUA_SAMPLE = 10
 
 # Monitored levels are drawn and learned this many at a time, which bounds
@@ -127,35 +127,31 @@ def empirical_staleness(sim: SimConfig) -> float:
 
     Deterministic given ``sim.seed`` (and ``sim.trials``).
     """
+    cfg = sim.config
+    if cfg.is_strong:
+        return 0.0
     import numpy as np
 
-    cfg = sim.config
     small, large = sorted((cfg.r, cfg.w))
     bad = cfg.n - large
-    stepped = small >= _HRUA_SAMPLE and large >= bad
+    step = 1 if small >= _HRUA_SAMPLE and large >= bad else small
     rng = _generator(sim.seed)
     stale = 0
     remaining = sim.trials
     while remaining > 0:
-        rows = min(remaining, _CHUNK)
-        if stepped:
-            # Read the smaller quorum one replica at a time.  A trial leaves
-            # at its first replica from the larger quorum; before step j it
-            # has read j of the others, so its next replica is drawn from
-            # `large` good and `bad - j` bad ones.  The trials left after
-            # `small` steps are stale.
-            alive = rows
-            for j in range(small):
-                if alive == 0:
-                    break
-                hits = rng.hypergeometric(large, bad - j, 1, size=alive)
-                alive -= int(np.count_nonzero(hits))
-            stale += alive
-        else:
-            # Per trial, how many replicas the two quorums share.
-            overlap = rng.hypergeometric(large, bad, small, size=rows)
-            stale += rows - int(np.count_nonzero(overlap))
-            del overlap  # so that one chunk is alive at a time
+        rows = alive = min(remaining, _CHUNK)
+        # Read the smaller quorum `step` replicas at a time.  A trial leaves
+        # once it has met the larger quorum; before step j it has read j of
+        # the others, so its next replicas are drawn from `large` good and
+        # `bad - j` bad ones (a weak pair has bad >= small > j).  The trials
+        # left after `small` replicas are stale.
+        for j in range(0, small, step):
+            if alive == 0:
+                break
+            hits = rng.hypergeometric(large, bad - j, step, size=alive)
+            alive -= int(np.count_nonzero(hits))
+        del hits  # so that one chunk is alive at a time
+        stale += alive
         remaining -= rows
     return stale / sim.trials
 

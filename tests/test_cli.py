@@ -222,6 +222,15 @@ class TestEvaluate:
         assert code == 2
         assert "bootstrap" in err
 
+    def test_negative_threshold_is_domain_error(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "evaluate", "--relation", "linear", "--algo", "incr",
+            "--sweep", "-0.1,0.2", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "threshold must be > 0, got -0.1" in err
+
     def test_unknown_relation_is_usage_error(self, capsys, tmp_path):
         code, *_ = run(
             capsys,
@@ -281,6 +290,26 @@ class TestLoop:
         assert code == 1
         assert out == ""
         assert f"error: expected a comma-separated list of target chi values, got {targets!r}" in err
+
+    def test_negative_target_list(self, capsys):
+        # Every log-family target is negative; a word led by "-<digit>" is a value.
+        code, out, _ = run(
+            capsys,
+            "loop", "--expr", "log10(phi)", "--targets", "-1,-0.5", "--n", "5", "--seed", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "-1.0,0.09805646188919626,1,1,-0.6989700043360187",
+            "-0.5,0.3166283042154997,1,2,-0.3979400086720376",
+        ]
+
+    def test_word_led_by_minus_letter_is_still_a_flag(self, capsys):
+        code, out, err = run(
+            capsys, "loop", "--expr", "phi", "--targets", "-x", "--n", "5", "--seed", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --targets: expected one argument" in err
 
     def test_expression_syntax_error_is_domain_error(self, capsys):
         code, _, err = run(

@@ -117,6 +117,20 @@ class TestSequential:
         assert level.phi == 123 / size
         assert elapsed < 5.0, f"seeding and one lookup took {elapsed:.2f}s"
 
+    def test_seeding_equal_keys_into_a_built_index_is_fast(self):
+        # A lookup during seeding builds the index, so each later seed is
+        # inserted; one that steps past every equal key took 16 s here.
+        size = 20_000
+        clusterer = SequentialClusterer(size)
+        clusterer.learn(Sample(0.5, 0.0))
+        assert clusterer.lookup(0.5).phi == 0.0
+        start = time.perf_counter()
+        for i in range(1, size):
+            assert clusterer.learn(Sample(0.5, i / size)) == i
+        elapsed = time.perf_counter() - start
+        assert clusterer.lookup(0.5).phi == 0.0  # the lowest id wins the tie
+        assert elapsed < 2.0, f"{size} seeds took {elapsed:.2f}s"
+
     @pytest.mark.parametrize("bad", [0, -1, 1.0, True, "3"])
     def test_rejects_bad_capacity(self, bad):
         with pytest.raises(ConfigError):

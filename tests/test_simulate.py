@@ -60,6 +60,16 @@ class TestEmpiricalStaleness:
         assert empirical_staleness(sim(3, 3, 5, trials=2000)) == 0.0
         assert empirical_staleness(sim(1, 5, 5, trials=2000)) == 0.0
 
+    def test_strong_pair_draws_nothing(self, monkeypatch):
+        def no_generator(*entropy):
+            raise AssertionError("a strong pair built a generator")
+
+        monkeypatch.setattr(simulate, "_generator", no_generator)
+        for r, w, n in [(3, 3, 5), (1, 5, 5), (10, 11, 20), (50, 51, 100)]:
+            assert empirical_staleness(sim(r, w, n)) == 0.0, (r, w, n)
+        with pytest.raises(AssertionError, match="built a generator"):
+            empirical_staleness(sim(3, 2, 5))
+
     def test_matches_analytic_within_noise(self):
         estimate = empirical_staleness(sim(2, 3, 5))
         assert abs(estimate - 0.1) <= 0.005
@@ -93,6 +103,19 @@ class TestEmpiricalStaleness:
         for rows in (65_536, trials - 65_536):
             stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
         assert empirical_staleness(sim(3, 2, 7, trials=trials, seed=5)) == stale / trials
+
+    @pytest.mark.parametrize("r, w", [(10, 10), (10, 12), (12, 10)])
+    def test_stream_layout_hrua(self, r, w):
+        # Outside the stepped region a sample of 10 or more is still one
+        # hypergeometric call per chunk, which numpy serves by HRUA.
+        trials = 70_000
+        small, large = sorted((r, w))
+        rng = np.random.Generator(np.random.PCG64(5))
+        stale = 0
+        for rows in (65_536, trials - 65_536):
+            stale += int(np.sum(rng.hypergeometric(large, 100 - large, small, size=rows) == 0))
+        assert stale > 0
+        assert empirical_staleness(sim(r, w, 100, trials=trials, seed=5)) == stale / trials
 
     @pytest.mark.parametrize("n", [3, 5, 10, 20])
     def test_symmetric_in_r_and_w(self, n):
