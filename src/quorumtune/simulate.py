@@ -13,12 +13,14 @@ trial leaves at the first step that meets the larger quorum; by the chain
 rule the stale count has the same law for any step.  Below a sample of 10
 numpy walks an urn, at most one step per sampled replica; from 10 on it
 uses its slower HRUA method.  There, where also ``2 * max(r, w) >= n`` (the
-*stepped region*), the step is 1: each replica meets the larger quorum with
+*stepped region*), the step is 1: the one replica read is uniform over the
+unread ones, so it is an exact bounded integer draw, in the larger quorum
+when below ``max(r, w)``.  Each replica meets the larger quorum with
 probability at least 1/2, so a trial takes at most 2 steps in expectation
-and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere one step
-reads the whole quorum.  The draws share no code with the integer ratio in
-:mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``) memory,
-independent of ``n``.
+and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere one
+hypergeometric step reads the whole quorum.  The draws share no code with
+the integer ratio in :mod:`quorumtune.quorum`.  Cost: O(trials) time and
+O(``_CHUNK``) memory, independent of ``n``.
 
 :func:`run_adaptation_loop` wires the whole toolkit together: monitor an
 application's (chi, phi) samples, learn the mapping with a clusterer, then
@@ -27,16 +29,16 @@ configuration, and report the indicator value actually achieved.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so
 every run is reproducible bit for bit on a given numpy version.  The
-simulator's stream layout is part of that contract: each chunk of
-``_CHUNK`` trials takes step ``j`` as one ``Generator.hypergeometric(max(r,
-w), n - max(r, w) - j, step)`` call over its trials still reading, until
-none is left or ``min(r, w)`` replicas are read; ``step`` is 1 in the
-stepped region and ``min(r, w)`` elsewhere.  The generator's state carries
-from one call to the next, so outside the stepped region (one call per
-chunk) the chunk size changes no estimate; inside it, it is part of the
-layout.  numpy may change how its samplers consume the stream between
-feature releases (NEP 19), so pinned estimates hold for the numpy version
-in use.
+simulator's stream layout is part of that contract.  Outside the stepped
+region each chunk of ``_CHUNK`` trials is one
+``Generator.hypergeometric(max(r, w), n - max(r, w), min(r, w))`` call.
+Inside it, each chunk takes step ``j`` as one ``Generator.integers(n - j)``
+call over its trials still reading, until none is left or ``min(r, w)``
+replicas are read.  The generator's state carries from one call to the
+next, so outside the stepped region the chunk size changes no estimate;
+inside it, it is part of the layout.  numpy may change how its samplers,
+``integers`` included, consume the stream between feature releases (NEP
+19), so pinned estimates hold for the numpy version in use.
 
 Every generator, the sweeps' included, comes from :func:`_generator`.  It
 and the simulator import numpy when called, not at module level, so the
@@ -78,9 +80,9 @@ __all__ = [
 PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches, which bounds the simulator's
-# memory.  Consecutive hypergeometric calls continue one stream, so where one
-# step reads the whole quorum (see the module docstring) the batch size
-# changes no seeded result; in the stepped region it does.
+# memory.  Consecutive draws continue one stream, so where one step reads
+# the whole quorum (see the module docstring) the batch size changes no
+# seeded result; in the stepped region it does.
 _CHUNK = 1 << 16
 
 # From this sample size on, numpy's hypergeometric sampler switches from an
@@ -134,7 +136,8 @@ def empirical_staleness(sim: SimConfig) -> float:
 
     small, large = sorted((cfg.r, cfg.w))
     bad = cfg.n - large
-    step = 1 if small >= _HRUA_SAMPLE and large >= bad else small
+    stepped = small >= _HRUA_SAMPLE and large >= bad
+    step = 1 if stepped else small
     rng = _generator(sim.seed)
     stale = 0
     remaining = sim.trials
@@ -148,9 +151,13 @@ def empirical_staleness(sim: SimConfig) -> float:
         for j in range(0, small, step):
             if alive == 0:
                 break
-            hits = rng.hypergeometric(large, bad - j, step, size=alive)
-            alive -= int(np.count_nonzero(hits))
-        del hits  # so that one chunk is alive at a time
+            if stepped:
+                # The one replica read is uniform over the n - j unread ones,
+                # and the larger quorum holds `large` of them.
+                met = np.count_nonzero(rng.integers(cfg.n - j, size=alive) < large)
+            else:
+                met = np.count_nonzero(rng.hypergeometric(large, bad, small, size=alive))
+            alive -= int(met)
         stale += alive
         remaining -= rows
     return stale / sim.trials

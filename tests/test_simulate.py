@@ -156,7 +156,8 @@ class TestEmpiricalStaleness:
     def test_stream_layout_stepped(self):
         # With min(r, w) >= 10 and 2 * max(r, w) >= n, each chunk reads the
         # smaller quorum one replica at a time, over the trials that have
-        # not yet met the larger quorum.
+        # not yet met the larger quorum: before step j, 40 - j replicas are
+        # unread, numbered so that the 20 of the write quorum come first.
         trials = 70_000
         rng = np.random.Generator(np.random.PCG64(5))
         stale = 0
@@ -164,7 +165,7 @@ class TestEmpiricalStaleness:
             for j in range(10):
                 if alive == 0:
                     break
-                alive -= int(np.sum(rng.hypergeometric(20, 20 - j, 1, size=alive) == 1))
+                alive -= int(np.sum(rng.integers(0, 40 - j, size=alive) < 20))
             stale += alive
         assert stale > 0
         assert empirical_staleness(sim(10, 20, 40, trials=trials, seed=5)) == stale / trials
@@ -176,6 +177,17 @@ class TestEmpiricalStaleness:
         estimate = empirical_staleness(sim(10, 20, 40, trials=trials, seed=11))
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
+
+    @pytest.mark.parametrize("r, w, n", [(10, 100, 200), (10, 1000, 2000)])
+    def test_stepped_matches_analytic_without_slack(self, r, w, n):
+        # In the stepped region each of the min(r, w) >= 10 replicas misses
+        # the larger quorum with probability at most 1/2, so phi <= 2**-10
+        # and the 1e-3 slack above would hide any error: allow only noise.
+        analytic = staleness_probability(QuorumConfig(r, w, n))
+        trials = 10**6
+        estimate = empirical_staleness(sim(r, w, n, trials=trials, seed=n + r))
+        sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
+        assert abs(estimate - analytic) <= 4.0 * sigma
 
     @pytest.mark.parametrize("r, w, n", [(10, 11, 20), (15, 15, 20), (20, 20, 20)])
     def test_stepped_strong_pair_never_stale(self, r, w, n):
