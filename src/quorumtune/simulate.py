@@ -10,17 +10,17 @@ hypergeometric law whichever quorum is the sample, so the smaller one is:
 replicas, stale at 0, and (r, w) and (w, r) give the same estimate at the
 same seed.  The smaller quorum is read ``step`` replicas at a time, and a
 trial leaves at the first step that meets the larger quorum; by the chain
-rule the stale count has the same law for any step.  Below a sample of 10
-numpy walks an urn, at most one step per sampled replica; from 10 on it
-uses its slower HRUA method.  There, where also ``2 * max(r, w) >= n`` (the
-*stepped region*), the step is 1: the one replica read is uniform over the
-unread ones, so it is an exact bounded integer draw, in the larger quorum
-when below ``max(r, w)``.  Each replica meets the larger quorum with
-probability at least 1/2, so a trial takes at most 2 steps in expectation
-and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere one
-hypergeometric step reads the whole quorum.  The draws share no code with
-the integer ratio in :mod:`quorumtune.quorum`.  Cost: O(trials) time and
-O(``_CHUNK``) memory, independent of ``n``.
+rule the stale count has the same law for any step.  Where
+``2 * max(r, w) >= n`` (the *stepped region*), the step is 1: the one
+replica read is uniform over the unread ones, so it is an exact bounded
+integer draw, in the larger quorum when below ``max(r, w)``.  Each replica
+meets the larger quorum with probability at least 1/2, so a trial takes at
+most 2 steps in expectation and a chunk about log2(``_CHUNK``) + O(1) numpy
+calls.  Elsewhere one hypergeometric step reads the whole quorum, which
+numpy serves by an urn walk below a sample of 10 and by its ratio-of-uniforms
+method (HRUA) from 10 on.  The draws share no code with the integer ratio
+in :mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``)
+memory, independent of ``n``.
 
 :func:`run_adaptation_loop` wires the whole toolkit together: monitor an
 application's (chi, phi) samples, learn the mapping with a clusterer, then
@@ -81,14 +81,9 @@ PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches, which bounds the simulator's
 # memory.  Consecutive draws continue one stream, so where one step reads
-# the whole quorum (see the module docstring) the batch size changes no
-# seeded result; in the stepped region it does.
+# the whole quorum (2 * max(r, w) < n) the batch size changes no seeded
+# result; in the stepped region (2 * max(r, w) >= n) it does.
 _CHUNK = 1 << 16
-
-# From this sample size on, numpy's hypergeometric sampler switches from an
-# urn walk to its slower ratio-of-uniforms method (HRUA); the stepped region
-# starts here.
-_HRUA_SAMPLE = 10
 
 # Monitored levels are drawn and learned this many at a time, which bounds
 # the monitoring stage's memory.  Consecutive PCG64 ``random`` draws continue
@@ -136,7 +131,7 @@ def empirical_staleness(sim: SimConfig) -> float:
 
     small, large = sorted((cfg.r, cfg.w))
     bad = cfg.n - large
-    stepped = small >= _HRUA_SAMPLE and large >= bad
+    stepped = large >= bad
     step = 1 if stepped else small
     rng = _generator(sim.seed)
     stale = 0

@@ -31,6 +31,24 @@ def sim(r, w, n, trials=100_000, seed=1234):
     return SimConfig(config=QuorumConfig(r=r, w=w, n=n), trials=trials, seed=seed)
 
 
+def stepped_replay(r, w, n, trials, seed):
+    """The stepped region's documented stream layout, replayed: each chunk
+    reads the smaller quorum one replica at a time, over the trials that
+    have not yet met the larger quorum.  Before step j, n - j replicas are
+    unread, numbered so that the max(r, w) of the larger quorum come first."""
+    small, large = sorted((r, w))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stale = 0
+    for start in range(0, trials, 65_536):
+        alive = min(trials - start, 65_536)
+        for j in range(small):
+            if alive == 0:
+                break
+            alive -= int(np.sum(rng.integers(n - j, size=alive) < large))
+        stale += alive
+    return stale / trials
+
+
 class TestSimConfig:
     @pytest.mark.parametrize("trials", [0, -5, 1.0])
     def test_rejects_bad_trials(self, trials):
@@ -106,8 +124,8 @@ class TestEmpiricalStaleness:
 
     @pytest.mark.parametrize("r, w", [(10, 10), (10, 12), (12, 10)])
     def test_stream_layout_hrua(self, r, w):
-        # Outside the stepped region a sample of 10 or more is still one
-        # hypergeometric call per chunk, which numpy serves by HRUA.
+        # Outside the stepped region (2 * max(r, w) < n) a sample of 10 or
+        # more is one hypergeometric call per chunk, which numpy serves by HRUA.
         trials = 70_000
         small, large = sorted((r, w))
         rng = np.random.Generator(np.random.PCG64(5))
@@ -153,23 +171,15 @@ class TestEmpiricalStaleness:
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
 
-    def test_stream_layout_stepped(self):
-        # With min(r, w) >= 10 and 2 * max(r, w) >= n, each chunk reads the
-        # smaller quorum one replica at a time, over the trials that have
-        # not yet met the larger quorum: before step j, 40 - j replicas are
-        # unread, numbered so that the 20 of the write quorum come first.
-        trials = 70_000
-        rng = np.random.Generator(np.random.PCG64(5))
-        stale = 0
-        for alive in (65_536, trials - 65_536):
-            for j in range(10):
-                if alive == 0:
-                    break
-                alive -= int(np.sum(rng.integers(0, 40 - j, size=alive) < 20))
-            stale += alive
-        assert stale > 0
-        assert empirical_staleness(sim(10, 20, 40, trials=trials, seed=5)) == stale / trials
-        assert empirical_staleness(sim(20, 10, 40, trials=trials, seed=5)) == stale / trials
+    @pytest.mark.parametrize("r, w, n", [(10, 20, 40), (2, 3, 5), (1, 3, 5)])
+    def test_stream_layout_stepped(self, r, w, n):
+        # Where 2 * max(r, w) >= n, whatever the sample size, each chunk reads
+        # the smaller quorum one replica at a time (see stepped_replay), and
+        # the mirrored pair reads the same stream.
+        expected = stepped_replay(r, w, n, trials=70_000, seed=5)
+        assert expected > 0
+        assert empirical_staleness(sim(r, w, n, trials=70_000, seed=5)) == expected
+        assert empirical_staleness(sim(w, r, n, trials=70_000, seed=5)) == expected
 
     def test_stepped_matches_analytic(self):
         analytic = staleness_probability(QuorumConfig(10, 20, 40))  # about 2.18e-4
@@ -178,11 +188,14 @@ class TestEmpiricalStaleness:
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
 
-    @pytest.mark.parametrize("r, w, n", [(10, 100, 200), (10, 1000, 2000)])
+    @pytest.mark.parametrize(
+        "r, w, n", [(10, 100, 200), (10, 1000, 2000), (1, 10, 20), (5, 50, 100)]
+    )
     def test_stepped_matches_analytic_without_slack(self, r, w, n):
-        # In the stepped region each of the min(r, w) >= 10 replicas misses
-        # the larger quorum with probability at most 1/2, so phi <= 2**-10
-        # and the 1e-3 slack above would hide any error: allow only noise.
+        # In the stepped region each of the min(r, w) replicas misses the
+        # larger quorum with probability at most 1/2, so phi <= 2**-min(r, w)
+        # and at min(r, w) = 10 the 1e-3 slack above would hide any error:
+        # allow only noise.  (1, 10, 20) sits on the edge, 2 * max(r, w) = n.
         analytic = staleness_probability(QuorumConfig(r, w, n))
         trials = 10**6
         estimate = empirical_staleness(sim(r, w, n, trials=trials, seed=n + r))
@@ -203,9 +216,10 @@ class TestEmpiricalStaleness:
         assert empirical_staleness(config) == 0.0
         assert time.perf_counter() - start < 1.0
 
-    def test_stepped_memory_bounded(self):
-        config = sim(10, 10, 20, trials=200_000)
-        empirical_staleness(sim(10, 10, 20, trials=1))  # first-call imports aside
+    @pytest.mark.parametrize("r, w, n", [(10, 10, 20), (2, 3, 5)])
+    def test_stepped_memory_bounded(self, r, w, n):
+        config = sim(r, w, n, trials=200_000)
+        empirical_staleness(sim(r, w, n, trials=1))  # first-call imports aside
         tracemalloc.start()
         try:
             empirical_staleness(config)
