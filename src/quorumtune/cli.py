@@ -107,12 +107,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     print(f"empirical={empirical!r} analytic={analytic!r}")
 
 
-def _relation_from_args(args: argparse.Namespace) -> RelationSpec:
-    return RelationSpec(
-        family=_RELATIONS[args.relation], a=args.A, b=args.B, c=args.C, d=args.D
-    )
-
-
 def _open_out(path: str | None):
     """The CSV destination: ``path`` opened for writing, or stdout when
     ``path`` is None.  Commands open it before their run, so an unwritable
@@ -123,7 +117,7 @@ def _open_out(path: str | None):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
-    relation = _relation_from_args(args)
+    relation = RelationSpec(_RELATIONS[args.relation], args.A, args.B, args.C, args.D)
     if args.algo == "seq":
         sweep = _split_list(args.sweep, "cluster counts", int, args.subparser)
         run_sweep = evaluate_sequential
@@ -134,23 +128,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         handle.write(run_sweep(relation, sweep, args.bootstrap, args.tests, args.seed).to_csv())
 
 
-def _parse_const(text: str) -> tuple[str, float]:
+def _parse_const(text: str, parser: argparse.ArgumentParser) -> tuple[str, float]:
     name, sep, value = text.partition("=")
-    if not sep:
-        raise ValueError(text)
-    return name.strip(), float(value)
+    with contextlib.suppress(ValueError):
+        if sep:
+            return name.strip(), float(value)
+    parser.error(f"expected --const NAME=VALUE, got {text!r}")
 
 
 def _cmd_loop(args: argparse.Namespace) -> None:
     program = parse_indicator(args.expr)
     targets = _split_list(args.targets, "target chi values", float, args.subparser)
-    constants = {}
-    for item in args.const:
-        try:
-            name, value = _parse_const(item)
-        except ValueError:
-            args.subparser.error(f"expected --const NAME=VALUE, got {item!r}")
-        constants[name] = value
+    constants = dict(_parse_const(item, args.subparser) for item in args.const)
     missing = sorted(program.free_variables - set(constants) - {"phi"})
     if missing:
         raise DomainError(

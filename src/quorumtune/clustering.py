@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError, DomainError, UnlearnedError, as_real, check_count, shown
+from .errors import (
+    ConfigError, DomainError, UnlearnedError, as_finite, as_real, check_count, shown,
+)
 from .quorum import ConsistencyLevel
 
 __all__ = [
@@ -98,6 +100,20 @@ class Cluster:
     chi_centroid: float
     phi_centroid: float
     count: int
+
+
+def _csv(row_type: type, rows) -> str:
+    """``rows`` as CSV: the field names of the dataclass ``row_type`` as the
+    header line, then one line per row of each field's ``repr``.
+
+    The field names are the CSV contract: renaming a field renames its
+    column in every file written through here.
+    """
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join(repr(getattr(row, name)) for name in names))
+    return "\n".join(lines) + "\n"
 
 
 class _OnlineClusterer:
@@ -230,17 +246,12 @@ class _OnlineClusterer:
         """
         if not self._chi:
             raise UnlearnedError("adaptation state is unlearned: no clusters to look up")
-        chi_target = as_real(chi_target, "chi_target")
-        if not math.isfinite(chi_target):
-            raise DomainError(f"chi_target must be finite, got {chi_target!r}")
+        chi_target = as_finite(chi_target, "chi_target")
         return ConsistencyLevel(self._phi[self._nearest(chi_target)[1]])
 
     def csv_snapshot(self) -> str:
         """The cluster state as CSV (chi_centroid, phi_centroid, count)."""
-        lines = ["chi_centroid,phi_centroid,count"]
-        for cluster in self.clusters:
-            lines.append(f"{cluster.chi_centroid!r},{cluster.phi_centroid!r},{cluster.count}")
-        return "\n".join(lines) + "\n"
+        return _csv(Cluster, self.clusters)
 
 
 class SequentialClusterer(_OnlineClusterer):

@@ -3,12 +3,14 @@
 Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
 with a single ``except`` clause.  The input checks shared by the other
-modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`) and the
-bounded :func:`shown` that formats a rejected value live here too, so each
-rule and its message are written once.
+modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`,
+:func:`as_finite`) and the bounded :func:`shown` that formats a rejected
+value live here too, so each rule and its message are written once.
 """
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "DomainError",
@@ -94,3 +96,12 @@ def as_real(value: float, name: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a real number, got {shown(value)}") from None
+
+
+def as_finite(value: float, name: str) -> float:
+    """:func:`as_real`, then a :class:`ConfigError` naming ``name`` when the
+    number is infinite or nan."""
+    value = as_real(value, name)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value

@@ -51,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .clustering import Sample, _OnlineClusterer
-from .errors import ConfigError, as_real, check_count, check_seed
+from .clustering import Sample, _OnlineClusterer, _csv
+from .errors import ConfigError, as_finite, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate
 from .quorum import (
     DEFAULT_SOLVE_OPTIONS,
@@ -187,7 +187,7 @@ class LoopConfig:
         self.clusterer._check_bootstrap(self.bootstrap_samples)
         check_count(self.n, "n")
         check_seed(self.seed)
-        object.__setattr__(self, "targets", tuple(as_real(t, "target") for t in self.targets))
+        object.__setattr__(self, "targets", tuple(as_finite(t, "target") for t in self.targets))
         object.__setattr__(self, "constants", dict(self.constants))
 
 
@@ -258,7 +258,4 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
 
 def trace_to_csv(entries: Sequence[LoopTraceEntry]) -> str:
     """Serialize a loop trace as CSV."""
-    lines = ["chi_target,phi_chosen,r,w,chi_achieved"]
-    for e in entries:
-        lines.append(f"{e.chi_target!r},{e.phi_chosen!r},{e.r},{e.w},{e.chi_achieved!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(LoopTraceEntry, entries)

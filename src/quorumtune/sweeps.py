@@ -28,10 +28,10 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer
+from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
 from .clustering import Sample  # noqa: F401
-from .errors import ConfigError, as_real, check_count, check_seed
+from .errors import ConfigError, as_finite, check_count, check_seed
 from .indicator import IndicatorProgram, evaluate, parse
 from .simulate import PHI_FLOOR, _generator, _monitor
 
@@ -57,15 +57,11 @@ class RelationFamily(Enum):
     LOGARITHMIC = "logarithmic"
 
 
-_FAMILY_SOURCE: dict[RelationFamily, str] = {
-    RelationFamily.LINEAR: "A*phi + C",
-    RelationFamily.QUADRATIC: "A*phi^2 + B*phi + C",
-    RelationFamily.CUBIC: "A*phi^3 + B*phi^2 + C*phi + D",
-    RelationFamily.LOGARITHMIC: "A*log10(phi) + C",
-}
-
 _PROGRAMS: dict[RelationFamily, IndicatorProgram] = {
-    family: parse(source) for family, source in _FAMILY_SOURCE.items()
+    RelationFamily.LINEAR: parse("A*phi + C"),
+    RelationFamily.QUADRATIC: parse("A*phi^2 + B*phi + C"),
+    RelationFamily.CUBIC: parse("A*phi^3 + B*phi^2 + C*phi + D"),
+    RelationFamily.LOGARITHMIC: parse("A*log10(phi) + C"),
 }
 
 
@@ -87,14 +83,12 @@ class RelationSpec:
         if not isinstance(self.family, RelationFamily):
             raise ConfigError(f"family must be a RelationFamily, got {self.family!r}")
         for name in ("a", "b", "c", "d"):
-            value = as_real(getattr(self, name), f"constant {name.upper()}")
-            if not math.isfinite(value):
-                raise ConfigError(f"constant {name.upper()} must be finite, got {value!r}")
+            value = as_finite(getattr(self, name), f"constant {name.upper()}")
             object.__setattr__(self, name, value)
 
     @property
     def source(self) -> str:
-        return _FAMILY_SOURCE[self.family]
+        return self.program.source
 
     @property
     def program(self) -> IndicatorProgram:
@@ -173,21 +167,13 @@ class RmseReport:
 
     def to_csv(self) -> str:
         spec = self.relation
-        header = (
+        provenance = (
             f"# family={spec.family.value} algo={self.algorithm} seed={self.seed}"
             f" bootstrap={self.bootstrap} tests={self.tests}"
             f" A={spec.a!r} B={spec.b!r} C={spec.c!r} D={spec.d!r}"
         )
-        lines = [header]
-        if self.algorithm == "seq":
-            lines.append("clusters,rmse")
-            for row in self.rows:
-                lines.append(f"{row.clusters},{row.rmse!r}")
-        else:
-            lines.append("threshold,clusters,rmse")
-            for row in self.rows:
-                lines.append(f"{row.threshold!r},{row.clusters},{row.rmse!r}")
-        return "\n".join(lines) + "\n"
+        row_type = SequentialRow if self.algorithm == "seq" else IncrementalRow
+        return provenance + "\n" + _csv(row_type, self.rows)
 
 
 def _run_point(

@@ -274,13 +274,27 @@ class TestLoop:
         assert code == 2
         assert "C" in err
 
-    def test_malformed_const_is_usage_error(self, capsys):
-        code, *_ = run(
+    @pytest.mark.parametrize("item", ["A", "A=x", "A=1=2"])
+    def test_malformed_const_is_usage_error(self, capsys, item):
+        code, _, err = run(
             capsys,
             "loop", "--expr", "phi", "--targets", "0.5",
-            "--n", "5", "--seed", "3", "--const", "A",
+            "--n", "5", "--seed", "3", "--const", item,
         )
         assert code == 1
+        assert f"error: expected --const NAME=VALUE, got {item!r}" in err
+
+    def test_non_finite_target_fails_before_training_and_out(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run(
+            capsys,
+            "loop", "--expr", "phi", "--targets", "0.5,inf", "--n", "5", "--seed", "1",
+            "--bootstrap", "200000", "--capacity", "10", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: target must be finite, got inf" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("targets", [" , ", "0.5,x"])
     def test_malformed_targets_are_usage_error(self, capsys, targets):

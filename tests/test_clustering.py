@@ -260,6 +260,9 @@ class TestSnapshot:
         assert lines[1] == "1.5,0.25,1"
         assert lines[2] == "-2.0,1.0,1"
 
+    def test_empty_is_header_only(self):
+        assert SequentialClusterer(3).csv_snapshot() == "chi_centroid,phi_centroid,count\n"
+
 
 @st.composite
 def sample_streams(draw):

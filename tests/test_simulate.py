@@ -316,6 +316,19 @@ class TestLoopConfig:
         with pytest.raises(ConfigError):
             LoopConfig(relation=program, clusterer=clusterer, bootstrap_samples=10, targets=[], seed=1, n=0)
 
+    @pytest.mark.parametrize("targets", [[0.5, math.inf], [math.nan]])
+    def test_rejects_non_finite_targets(self, targets):
+        # Checked here, before any training, not at the first lookup.
+        with pytest.raises(ConfigError, match="target must be finite"):
+            LoopConfig(
+                relation=parse("phi"),
+                clusterer=SequentialClusterer(10),
+                bootstrap_samples=10,
+                targets=targets,
+                seed=1,
+                n=5,
+            )
+
 
 class TestAdaptationLoop:
     def test_identity_relation_reaches_exact_level(self):
@@ -439,3 +452,6 @@ class TestTraceCsv:
         assert len(first) == 5
         assert float(first[0]) == 0.9
         int(first[2]), int(first[3])  # r and w columns parse as integers
+
+    def test_empty_trace_is_header_only(self):
+        assert trace_to_csv([]) == "chi_target,phi_chosen,r,w,chi_achieved\n"

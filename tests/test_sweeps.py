@@ -314,6 +314,13 @@ class TestCsv:
             "0.2,25,0.036642000109861794\n"
         )
 
+    @pytest.mark.parametrize(
+        "algorithm, header", [("seq", "clusters,rmse\n"), ("incr", "threshold,clusters,rmse\n")]
+    )
+    def test_no_rows_is_comment_and_header(self, algorithm, header):
+        report = RmseReport(LINEAR, algorithm, 1, 10, 10, ())
+        assert report.to_csv().endswith("D=0.0\n" + header)
+
     def test_byte_identical_reruns(self):
         a = evaluate_incremental(LINEAR, SWEEP_TAUS, seed=42).to_csv()
         b = evaluate_incremental(LINEAR, SWEEP_TAUS, seed=42).to_csv()
