@@ -120,6 +120,14 @@ class SolveOptions:
     mode: SolveMode = SolveMode.EXTENDED
     read_write_bias: ReadWriteBias = ReadWriteBias.BALANCED
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.mode, SolveMode):
+            raise ConfigError(f"mode must be a SolveMode, got {self.mode!r}")
+        if not isinstance(self.read_write_bias, ReadWriteBias):
+            raise ConfigError(
+                f"read_write_bias must be a ReadWriteBias, got {self.read_write_bias!r}"
+            )
+
 
 DEFAULT_SOLVE_OPTIONS = SolveOptions()
 

@@ -11,16 +11,20 @@ replicas, stale at 0, and (r, w) and (w, r) give the same estimate at the
 same seed.  The smaller quorum is read ``step`` replicas at a time, and a
 trial leaves at the first step that meets the larger quorum; by the chain
 rule the stale count has the same law for any step.  Where
-``2 * max(r, w) >= n`` (the *stepped region*), the step is 1: the one
-replica read is uniform over the unread ones, so it is an exact bounded
-integer draw, in the larger quorum when below ``max(r, w)``.  Each replica
-meets the larger quorum with probability at least 1/2, so a trial takes at
-most 2 steps in expectation and a chunk about log2(``_CHUNK``) + O(1) numpy
-calls.  Elsewhere one hypergeometric step reads the whole quorum, which
-numpy serves by an urn walk below a sample of 10 and by its ratio-of-uniforms
-method (HRUA) from 10 on.  The draws share no code with the integer ratio
-in :mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``)
-memory, independent of ``n``.
+``2 * max(r, w) >= n`` or ``min(r, w) < 10`` (the *stepped region*), the
+step is 1: the one replica read is uniform over the unread ones, so it is
+an exact bounded integer draw, in the larger quorum when below
+``max(r, w)``.  A trial takes at most ``min(r, w)`` steps, and where
+``2 * max(r, w) >= n`` each replica meets the larger quorum with
+probability at least 1/2, so a trial takes at most 2 steps in expectation
+and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere
+(``min(r, w) >= 10`` and ``2 * max(r, w) < n``) one hypergeometric step
+reads the whole quorum, which numpy serves by its ratio-of-uniforms method
+(HRUA).  Below a sample of 10 numpy would walk an urn, one scalar draw per
+replica, so the vectorised steps, which make no more draws, cost less.
+The draws share no code with the integer ratio in
+:mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``) memory,
+independent of ``n``.
 
 :func:`run_adaptation_loop` wires the whole toolkit together: monitor an
 application's (chi, phi) samples, learn the mapping with a clusterer, then
@@ -81,8 +85,8 @@ PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches, which bounds the simulator's
 # memory.  Consecutive draws continue one stream, so where one step reads
-# the whole quorum (2 * max(r, w) < n) the batch size changes no seeded
-# result; in the stepped region (2 * max(r, w) >= n) it does.
+# the whole quorum (min(r, w) >= 10 and 2 * max(r, w) < n) the batch size
+# changes no seeded result; in the stepped region it does.
 _CHUNK = 1 << 16
 
 # Monitored levels are drawn and learned this many at a time, which bounds
@@ -112,7 +116,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.config, QuorumConfig):
             raise ConfigError(f"config must be a QuorumConfig, got {self.config!r}")
-        # numpy's hypergeometric sampler takes fewer than 10**9 items a side.
+        # numpy's hypergeometric sampler, drawn only outside the stepped
+        # region, takes fewer than 10**9 items a side; one bound holds for
+        # every pair.
         if self.config.n >= 10**9:
             raise ConfigError(f"n must be < 10**9 to simulate, got n={self.config.n}")
         check_count(self.trials, "trials")
@@ -131,7 +137,9 @@ def empirical_staleness(sim: SimConfig) -> float:
 
     small, large = sorted((cfg.r, cfg.w))
     bad = cfg.n - large
-    stepped = large >= bad
+    # Below a sample of 10 numpy's hypergeometric sampler walks an urn, one
+    # scalar draw per replica; the vectorised steps make no more draws.
+    stepped = large >= bad or small < 10
     step = 1 if stepped else small
     rng = _generator(sim.seed)
     stale = 0

@@ -147,6 +147,10 @@ class IncrementalRow:
     rmse: float
 
 
+# Each sweep algorithm's row type, whose fields are its CSV columns.
+_ROW_TYPES = {"seq": SequentialRow, "incr": IncrementalRow}
+
+
 @dataclass(frozen=True)
 class RmseReport:
     """Sweep results plus the provenance needed to reproduce them."""
@@ -159,7 +163,12 @@ class RmseReport:
     rows: tuple[SequentialRow | IncrementalRow, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algorithm, str) or self.algorithm not in _ROW_TYPES:
+            raise ConfigError(f"algorithm must be 'seq' or 'incr', got {self.algorithm!r}")
+        row_type = _ROW_TYPES[self.algorithm]
         for row in self.rows:
+            if not isinstance(row, row_type):
+                raise ConfigError(f"{self.algorithm} rows must be {row_type.__name__}s, got {row!r}")
             if row.rmse < 0.0:
                 raise ConfigError(f"rmse must be >= 0, got {row!r}")
             if row.clusters < 1:
@@ -172,8 +181,7 @@ class RmseReport:
             f" bootstrap={self.bootstrap} tests={self.tests}"
             f" A={spec.a!r} B={spec.b!r} C={spec.c!r} D={spec.d!r}"
         )
-        row_type = SequentialRow if self.algorithm == "seq" else IncrementalRow
-        return provenance + "\n" + _csv(row_type, self.rows)
+        return provenance + "\n" + _csv(_ROW_TYPES[self.algorithm], self.rows)
 
 
 def _run_point(

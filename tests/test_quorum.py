@@ -293,6 +293,24 @@ class TestSolveQuorum:
         cfg = solve_quorum(0.5, 2, FAITHFUL)
         assert (cfg.r, cfg.w) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"mode": "extended"}, "mode"),
+            ({"mode": "faithful"}, "mode"),
+            ({"mode": None}, "mode"),
+            ({"read_write_bias": "balanced"}, "read_write_bias"),
+            ({"read_write_bias": SolveMode.EXTENDED}, "read_write_bias"),
+        ],
+        ids=["mode-extended-str", "mode-faithful-str", "mode-none", "bias-str", "bias-mode"],
+    )
+    def test_options_reject_non_enum_fields(self, fields, name):
+        # The solver compares these fields with `is` against the enum, so a
+        # string would pick a branch silently: mode="extended" would solve as
+        # faithful, and mode="faithful" at n = 1 would fail deep in the walk.
+        with pytest.raises(ConfigError, match=f"^{name} must be a "):
+            SolveOptions(**fields)
+
     def test_rejects_out_of_range_targets(self):
         for bad in (-0.1, 1.1, float("nan"), 10**400):
             with pytest.raises(DomainError):

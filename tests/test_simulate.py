@@ -49,6 +49,18 @@ def stepped_replay(r, w, n, trials, seed):
     return stale / trials
 
 
+def hypergeometric_replay(r, w, n, trials, seed):
+    """The documented stream layout outside the stepped region, replayed:
+    one hypergeometric draw of the overlap per chunk, stale at overlap 0."""
+    small, large = sorted((r, w))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stale = 0
+    for start in range(0, trials, 65_536):
+        rows = min(trials - start, 65_536)
+        stale += int(np.sum(rng.hypergeometric(large, n - large, small, size=rows) == 0))
+    return stale / trials
+
+
 class TestSimConfig:
     @pytest.mark.parametrize("trials", [0, -5, 1.0])
     def test_rejects_bad_trials(self, trials):
@@ -102,38 +114,26 @@ class TestEmpiricalStaleness:
         third = empirical_staleness(sim(1, 2, 6, seed=78))
         assert third != first  # fixed seeds, so this inequality is stable
 
-    def test_stream_layout(self):
-        # The documented contract: one hypergeometric call per chunk of
-        # _CHUNK trials, in chunk order, each trial stale at overlap 0.
-        trials = 70_000
-        rng = np.random.Generator(np.random.PCG64(5))
-        stale = 0
-        for rows in (65_536, trials - 65_536):
-            stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
-        assert empirical_staleness(sim(2, 3, 7, trials=trials, seed=5)) == stale / trials
-
-    def test_stream_layout_read_larger_than_write(self):
-        # With r > w the write quorum is the sample, so (3, 2, 7) consumes
-        # the stream exactly as (2, 3, 7) does above.
-        trials = 70_000
-        rng = np.random.Generator(np.random.PCG64(5))
-        stale = 0
-        for rows in (65_536, trials - 65_536):
-            stale += int(np.sum(rng.hypergeometric(3, 4, 2, size=rows) == 0))
-        assert empirical_staleness(sim(3, 2, 7, trials=trials, seed=5)) == stale / trials
-
     @pytest.mark.parametrize("r, w", [(10, 10), (10, 12), (12, 10)])
     def test_stream_layout_hrua(self, r, w):
-        # Outside the stepped region (2 * max(r, w) < n) a sample of 10 or
-        # more is one hypergeometric call per chunk, which numpy serves by HRUA.
-        trials = 70_000
-        small, large = sorted((r, w))
-        rng = np.random.Generator(np.random.PCG64(5))
-        stale = 0
-        for rows in (65_536, trials - 65_536):
-            stale += int(np.sum(rng.hypergeometric(large, 100 - large, small, size=rows) == 0))
-        assert stale > 0
-        assert empirical_staleness(sim(r, w, 100, trials=trials, seed=5)) == stale / trials
+        # Outside the stepped region (min(r, w) >= 10 and 2 * max(r, w) < n)
+        # each chunk is one hypergeometric call, which numpy serves by HRUA.
+        expected = hypergeometric_replay(r, w, 100, trials=70_000, seed=5)
+        assert expected > 0
+        assert empirical_staleness(sim(r, w, 100, trials=70_000, seed=5)) == expected
+
+    def test_region_boundary_at_a_sample_of_ten(self):
+        # With 2 * max(r, w) < n, a smaller quorum of 9 is still read one
+        # replica at a time and one of 10 is one hypergeometric draw.  The two
+        # layouts give different estimates at each shape, so each assert
+        # tells them apart.
+        for r, (replay, other) in {
+            9: (stepped_replay, hypergeometric_replay),
+            10: (hypergeometric_replay, stepped_replay),
+        }.items():
+            estimate = empirical_staleness(sim(r, r, 100, trials=70_000, seed=5))
+            assert estimate == replay(r, r, 100, trials=70_000, seed=5), r
+            assert estimate != other(r, r, 100, trials=70_000, seed=5), r
 
     @pytest.mark.parametrize("n", [3, 5, 10, 20])
     def test_symmetric_in_r_and_w(self, n):
@@ -151,11 +151,11 @@ class TestEmpiricalStaleness:
         )
 
     @pytest.mark.parametrize(
-        "r, w, n", [(2, 3, 7), (10, 10, 100)], ids=["urn", "hrua"]
+        "r, w, n", [(10, 10, 100), (10, 12, 100)], ids=["hrua", "hrua-10-12"]
     )
     def test_chunk_size_changes_no_estimate(self, monkeypatch, r, w, n):
-        # The generator's state carries across calls, so smaller batches
-        # consume the same stream.
+        # Outside the stepped region the generator's state carries across
+        # calls, so smaller batches consume the same stream.
         expected = empirical_staleness(sim(r, w, n, trials=70_000, seed=5))
         monkeypatch.setattr(simulate, "_CHUNK", 1000)
         assert empirical_staleness(sim(r, w, n, trials=70_000, seed=5)) == expected
@@ -171,11 +171,14 @@ class TestEmpiricalStaleness:
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
 
-    @pytest.mark.parametrize("r, w, n", [(10, 20, 40), (2, 3, 5), (1, 3, 5)])
+    @pytest.mark.parametrize(
+        "r, w, n", [(10, 20, 40), (2, 3, 5), (1, 3, 5), (2, 3, 7), (3, 2, 7), (1, 1, 5)]
+    )
     def test_stream_layout_stepped(self, r, w, n):
-        # Where 2 * max(r, w) >= n, whatever the sample size, each chunk reads
-        # the smaller quorum one replica at a time (see stepped_replay), and
-        # the mirrored pair reads the same stream.
+        # Where 2 * max(r, w) >= n, whatever the sample size, or where the
+        # smaller quorum is below 10, each chunk reads the smaller quorum one
+        # replica at a time (see stepped_replay), and the mirrored pair reads
+        # the same stream.
         expected = stepped_replay(r, w, n, trials=70_000, seed=5)
         assert expected > 0
         assert empirical_staleness(sim(r, w, n, trials=70_000, seed=5)) == expected
@@ -189,18 +192,37 @@ class TestEmpiricalStaleness:
         assert abs(estimate - analytic) <= 4.0 * sigma + 1e-3
 
     @pytest.mark.parametrize(
-        "r, w, n", [(10, 100, 200), (10, 1000, 2000), (1, 10, 20), (5, 50, 100)]
-    )
+        "r, w, n",
+        [
+            (10, 100, 200), (10, 1000, 2000), (1, 10, 20), (5, 50, 100),
+            (1, 1, 20), (3, 7, 30), (9, 9, 100),
+        ],
+    )  # fmt: skip
     def test_stepped_matches_analytic_without_slack(self, r, w, n):
-        # In the stepped region each of the min(r, w) replicas misses the
+        # Where 2 * max(r, w) >= n each of the min(r, w) replicas misses the
         # larger quorum with probability at most 1/2, so phi <= 2**-min(r, w)
         # and at min(r, w) = 10 the 1e-3 slack above would hide any error:
         # allow only noise.  (1, 10, 20) sits on the edge, 2 * max(r, w) = n.
+        # The last three are stepped only because min(r, w) < 10.
         analytic = staleness_probability(QuorumConfig(r, w, n))
         trials = 10**6
         estimate = empirical_staleness(sim(r, w, n, trials=trials, seed=n + r))
         sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
         assert abs(estimate - analytic) <= 4.0 * sigma
+
+    def test_small_quorum_time_bounded_at_large_n(self):
+        # The costliest step-1 shape: 9 replicas read from 10**8 - 1, almost
+        # every trial stale, so each chunk makes all 9 integer draws.  Best of
+        # 5 took 3.5 ms for 10**5 trials on a 2-vCPU VM, where one
+        # hypergeometric call per chunk (numpy's urn walk) took 9 ms.
+        config = sim(9, 9, 10**8 - 1)
+        empirical_staleness(sim(9, 9, 10**8 - 1, trials=1))  # first-call imports aside
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            assert empirical_staleness(config) > 0.99
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.025
 
     @pytest.mark.parametrize("r, w, n", [(10, 11, 20), (15, 15, 20), (20, 20, 20)])
     def test_stepped_strong_pair_never_stale(self, r, w, n):

@@ -197,6 +197,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RmseReport(LINEAR, "incr", 1, 10, 10, (IncrementalRow(0.1, 0, 0.5),))
 
+    @pytest.mark.parametrize("algorithm", ["bogus", "SEQ", "", None, ["seq"]])
+    def test_report_rejects_unknown_algorithm(self, algorithm):
+        with pytest.raises(ConfigError, match="algorithm must be 'seq' or 'incr'"):
+            RmseReport(LINEAR, algorithm, 1, 10, 10, (SequentialRow(5, 0.1),))
+
+    @pytest.mark.parametrize(
+        "algorithm, row",
+        [
+            ("seq", IncrementalRow(0.1, 5, 0.1)),
+            ("incr", SequentialRow(5, 0.1)),
+            ("seq", (5, 0.1)),
+        ],
+        ids=["seq-incr-row", "incr-seq-row", "seq-tuple"],
+    )
+    def test_report_rejects_rows_of_the_other_layout(self, algorithm, row):
+        # Each algorithm's CSV header comes from its own row type, so a row of
+        # another type would be written under the wrong columns.
+        with pytest.raises(ConfigError, match=f"^{algorithm} rows must be "):
+            RmseReport(LINEAR, algorithm, 1, 10, 10, (row,))
+
 
 class TestProtocol:
     def test_rows_sorted_and_order_independent(self):
