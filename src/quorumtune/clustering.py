@@ -151,8 +151,8 @@ class _OnlineClusterer:
         """Raise ConfigError when ``count`` bootstrap samples would not fill the seeds."""
         if count < self.capacity:
             raise ConfigError(
-                f"bootstrap size {count} is below the sequential capacity {self.capacity}; "
-                "the clusterer would never leave its seeding phase"
+                f"bootstrap size {shown(count)} is below the sequential capacity "
+                f"{shown(self.capacity)}; the clusterer would never leave its seeding phase"
             )
 
     def learn(self, sample: Sample) -> int:

@@ -3,9 +3,11 @@
 Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
 with a single ``except`` clause.  The input checks shared by the other
-modules (:func:`check_count`, :func:`check_seed`, :func:`as_real`,
-:func:`as_finite`) and the bounded :func:`shown` that formats a rejected
-value live here too, so each rule and its message are written once.
+modules (:func:`check_type`, :func:`check_count`, :func:`check_seed`,
+:func:`as_real`, :func:`as_finite`) live here too, so each rule and its
+message are written once.  Every rejection by a constructor, a solve or the
+parser that prints the rejected value, here or in another module, formats it
+with :func:`shown`, so its message stays short whatever the input.
 """
 
 from __future__ import annotations
@@ -64,13 +66,23 @@ def shown(value: object) -> str:
     """``repr(value)`` for an error message, at most 80 characters long.
 
     ``repr`` itself raises ``ValueError`` for an int of more than 4300 digits
-    (Python's int-to-str limit); such a value is described by its size.
+    (Python's int-to-str limit); such an int is described by its size, and
+    any other value whose ``repr`` raises (say, a dataclass holding such an
+    int) by its type's name.
     """
     try:
         text = repr(value)
-    except ValueError:
-        text = f"<int of {value.bit_length()} bits>"
+    except Exception:
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        text = f"<{type(value).__name__}{size}>"
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+def check_type(value: object, type_: type, name: str) -> None:
+    """Require an instance of ``type_``."""
+    if not isinstance(value, type_):
+        article = "an" if type_.__name__[0] in "AEIOU" else "a"
+        raise ConfigError(f"{name} must be {article} {type_.__name__}, got {shown(value)}")
 
 
 def check_count(value: int, name: str) -> None:

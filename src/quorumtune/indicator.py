@@ -205,7 +205,7 @@ class _Parser:
         kind, text, pos = self._peek()
         if kind == "end":
             return ParseError("unexpected end of input", pos)
-        return ParseError(f"unexpected {text!r}", pos)
+        return ParseError(f"unexpected {shown(text)}", pos)
 
     def _join(self, pos: int, *heights: int) -> int:
         """The height of a node over subtrees of ``heights``, or a
@@ -260,14 +260,15 @@ class _Parser:
             self._advance()
             value = float(text)
             if not isfinite(value):
-                raise ParseError(f"number {text} is out of range", pos)
+                digits = shown(text).strip("'")  # a number token holds no quote
+                raise ParseError(f"number {digits} is out of range", pos)
             return Num(value), 1
         if kind == "ident":
             self._advance()
             if self._peek()[:2] != ("op", "("):
                 return Var(text), 1
             if text not in FUNCTIONS:
-                raise ParseError(f"unknown function {text!r}", pos)
+                raise ParseError(f"unknown function {shown(text)}", pos)
         elif (kind, text) != ("op", "("):
             raise self._unexpected()
         # "(" expr ")", a call's argument or a group: the parser's only recursion.

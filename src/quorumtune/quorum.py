@@ -27,7 +27,7 @@ from enum import Enum
 from math import comb, lcm
 from typing import Iterator
 
-from .errors import ConfigError, DomainError, SolveError, as_real, check_count
+from .errors import ConfigError, DomainError, SolveError, as_real, check_count, check_type, shown
 
 __all__ = [
     "QuorumConfig",
@@ -61,10 +61,10 @@ class QuorumConfig:
         check_count(self.n, "n")
         check_count(self.r, "r")
         check_count(self.w, "w")
-        if self.r > self.n:
-            raise ConfigError(f"r must satisfy 1 <= r <= n, got r={self.r}, n={self.n}")
-        if self.w > self.n:
-            raise ConfigError(f"w must satisfy 1 <= w <= n, got w={self.w}, n={self.n}")
+        if self.r > self.n or self.w > self.n:
+            name, size = ("r", self.r) if self.r > self.n else ("w", self.w)
+            got = f"got {name}={shown(size)}, n={shown(self.n)}"
+            raise ConfigError(f"{name} must satisfy 1 <= {name} <= n, {got}")
 
     @property
     def is_strong(self) -> bool:
@@ -121,12 +121,8 @@ class SolveOptions:
     read_write_bias: ReadWriteBias = ReadWriteBias.BALANCED
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode, SolveMode):
-            raise ConfigError(f"mode must be a SolveMode, got {self.mode!r}")
-        if not isinstance(self.read_write_bias, ReadWriteBias):
-            raise ConfigError(
-                f"read_write_bias must be a ReadWriteBias, got {self.read_write_bias!r}"
-            )
+        check_type(self.mode, SolveMode, "mode")
+        check_type(self.read_write_bias, ReadWriteBias, "read_write_bias")
 
 
 DEFAULT_SOLVE_OPTIONS = SolveOptions()
@@ -167,8 +163,9 @@ def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     return ConsistencyLevel((den - num) / den)
 
 
-def _level_row(i: int, n: int, scale: int) -> Iterator[tuple[int, int, int, int]]:
-    """Row ``r = i`` of the spectrum as ``(key, i + j, i, j)``.
+def _level_row(i: int, n: int, key: int) -> Iterator[tuple[int, int, int, int]]:
+    """Row ``r = i`` of the spectrum as ``(key, i + j, i, j)``, from the
+    row's first key, that of ``j = i``.
 
     ``key`` is ``-C(n-j, i) / C(n, i) * scale``, an exact integer whenever
     ``scale`` is a multiple of ``C(n, i)``, so the level is
@@ -177,7 +174,6 @@ def _level_row(i: int, n: int, scale: int) -> Iterator[tuple[int, int, int, int]
     level never falls as ``j`` grows (it reaches 1 once ``i + j > n``) and
     ``i + j`` rises, so the row is sorted.
     """
-    key = -comb(n - i, i) * (scale // comb(n, i))
     for j in range(i, n + 1):
         yield key, i + j, i, j
         if key:
@@ -195,11 +191,19 @@ def iter_levels(n: int) -> Iterator[tuple[QuorumConfig, ConsistencyLevel]]:
     n^2 / 2 of the output.  Every row's key shares one integer scale, the
     lcm of ``C(n, i)`` over the weak rows, so keys compare as integers and
     each level is one correctly rounded division, as in
-    :func:`consistency_level`.
+    :func:`consistency_level`.  No binomial is computed: the scale is
+    ``lcm(1, ..., n + 1) / (n + 1)`` (B. Farhi, Amer. Math. Monthly 116,
+    2009), and each row's first key is the previous row's times the exact
+    ratio ``(n-2i+2)(n-2i+1) / (n-i+1)^2``, starting from ``-scale`` at
+    ``i = 0``; the ratio is 0 from the first strong row on.
     """
     check_count(n, "n")
-    scale = lcm(*(comb(n, i) for i in range(1, n // 2 + 1)))
-    merged = heapq.merge(*(_level_row(i, n, scale) for i in range(1, n + 1)))
+    scale = lcm(*range(1, n + 2)) // (n + 1)
+    rows, key = [], -scale
+    for i in range(1, n + 1):
+        key = key * (n - 2 * i + 2) * (n - 2 * i + 1) // (n - i + 1) ** 2
+        rows.append(_level_row(i, n, key))
+    merged = heapq.merge(*rows)
     return (
         (QuorumConfig(i, j, n), ConsistencyLevel((scale + key) / scale))
         for key, _sum, i, j in merged
@@ -269,12 +273,14 @@ def solve_quorum(
 
     Raises:
         DomainError: if ``phi_target`` is outside [0, 1].
+        ConfigError: if ``options`` is not a :class:`SolveOptions`.
         SolveError: in faithful mode with ``n < 2`` (empty search space).
     """
     check_count(n, "n")
     target_value = as_real(phi_target, "phi_target")
     if not 0.0 <= target_value <= 1.0:
-        raise DomainError(f"phi_target must lie in [0, 1], got {phi_target!r}")
+        raise DomainError(f"phi_target must lie in [0, 1], got {shown(phi_target)}")
+    check_type(options, SolveOptions, "options")
     if options.mode is SolveMode.FAITHFUL and n < 2:
         raise SolveError(
             f"faithful mode searches r in [1, n) and r + w <= n, which is empty for n={n}"

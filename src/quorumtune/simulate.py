@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .clustering import Sample, _OnlineClusterer, _csv
-from .errors import ConfigError, as_finite, check_count, check_seed
+from .errors import ConfigError, as_finite, check_count, check_seed, check_type, shown
 from .indicator import IndicatorProgram, evaluate
 from .quorum import (
     DEFAULT_SOLVE_OPTIONS,
@@ -114,13 +114,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.config, QuorumConfig):
-            raise ConfigError(f"config must be a QuorumConfig, got {self.config!r}")
+        check_type(self.config, QuorumConfig, "config")
         # numpy's hypergeometric sampler, drawn only outside the stepped
         # region, takes fewer than 10**9 items a side; one bound holds for
         # every pair.
         if self.config.n >= 10**9:
-            raise ConfigError(f"n must be < 10**9 to simulate, got n={self.config.n}")
+            raise ConfigError(f"n must be < 10**9 to simulate, got n={shown(self.config.n)}")
         check_count(self.trials, "trials")
         check_seed(self.seed)
 
@@ -187,16 +186,16 @@ class LoopConfig:
     options: SolveOptions = DEFAULT_SOLVE_OPTIONS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.relation, IndicatorProgram):
-            raise ConfigError(f"relation must be an IndicatorProgram, got {self.relation!r}")
+        check_type(self.relation, IndicatorProgram, "relation")
         if not isinstance(self.clusterer, _OnlineClusterer):
-            raise ConfigError(f"unsupported clusterer {self.clusterer!r}")
+            raise ConfigError(f"unsupported clusterer {shown(self.clusterer)}")
         check_count(self.bootstrap_samples, "bootstrap_samples")
         self.clusterer._check_bootstrap(self.bootstrap_samples)
         check_count(self.n, "n")
         check_seed(self.seed)
         object.__setattr__(self, "targets", tuple(as_finite(t, "target") for t in self.targets))
         object.__setattr__(self, "constants", dict(self.constants))
+        check_type(self.options, SolveOptions, "options")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
 from .clustering import Sample  # noqa: F401
-from .errors import ConfigError, as_finite, check_count, check_seed
+from .errors import ConfigError, as_finite, check_count, check_seed, check_type, shown
 from .indicator import IndicatorProgram, evaluate, parse
 from .simulate import PHI_FLOOR, _generator, _monitor
 
@@ -80,8 +80,7 @@ class RelationSpec:
     d: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.family, RelationFamily):
-            raise ConfigError(f"family must be a RelationFamily, got {self.family!r}")
+        check_type(self.family, RelationFamily, "family")
         for name in ("a", "b", "c", "d"):
             value = as_finite(getattr(self, name), f"constant {name.upper()}")
             object.__setattr__(self, name, value)
@@ -164,15 +163,15 @@ class RmseReport:
 
     def __post_init__(self) -> None:
         if not isinstance(self.algorithm, str) or self.algorithm not in _ROW_TYPES:
-            raise ConfigError(f"algorithm must be 'seq' or 'incr', got {self.algorithm!r}")
-        row_type = _ROW_TYPES[self.algorithm]
+            raise ConfigError(f"algorithm must be 'seq' or 'incr', got {shown(self.algorithm)}")
+        kind = _ROW_TYPES[self.algorithm]
         for row in self.rows:
-            if not isinstance(row, row_type):
-                raise ConfigError(f"{self.algorithm} rows must be {row_type.__name__}s, got {row!r}")
+            if not isinstance(row, kind):
+                raise ConfigError(f"{self.algorithm} rows must be {kind.__name__}s, got {shown(row)}")
             if row.rmse < 0.0:
-                raise ConfigError(f"rmse must be >= 0, got {row!r}")
+                raise ConfigError(f"rmse must be >= 0, got {shown(row)}")
             if row.clusters < 1:
-                raise ConfigError(f"cluster count must be >= 1, got {row!r}")
+                raise ConfigError(f"cluster count must be >= 1, got {shown(row)}")
 
     def to_csv(self) -> str:
         spec = self.relation

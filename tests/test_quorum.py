@@ -240,6 +240,15 @@ class TestEnumerateLevels:
         assert count == 200 * 201 // 2
         assert peak < 0.5 * 1024 * 1024
 
+    def test_iter_levels_first_line_at_large_n_is_prompt(self):
+        # The scale and each row's first key come from small exact integer
+        # steps, not from n binomials of up to n bits and their lcm, which
+        # took 17.5 s to the first line at n = 10**4.
+        start = time.perf_counter()
+        cfg, level = next(iter_levels(10**4))
+        assert time.perf_counter() - start < 1.0
+        assert (cfg.r, cfg.w, cfg.n, level.phi) == (1, 1, 10**4, 1e-4)
+
 
 class TestSolveQuorum:
     def test_golden_examples(self):
