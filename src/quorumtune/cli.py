@@ -24,7 +24,7 @@ import sys
 from typing import Sequence
 
 from .clustering import IncrementalClusterer, SequentialClusterer
-from .errors import DomainError
+from .errors import DomainError, shown
 from .indicator import parse as parse_indicator
 from .quorum import (
     QuorumConfig,
@@ -142,8 +142,9 @@ def _cmd_loop(args: argparse.Namespace) -> None:
     constants = dict(_parse_const(item, args.subparser) for item in args.const)
     missing = sorted(program.free_variables - set(constants) - {"phi"})
     if missing:
+        names = shown(", ".join(missing)).strip("'")  # identifiers hold no quote
         raise DomainError(
-            f"expression reads unbound variable(s) {', '.join(missing)}; "
+            f"expression reads unbound variable(s) {names}; "
             "bind them with --const NAME=VALUE"
         )
     if args.algo == "seq":

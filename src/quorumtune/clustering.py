@@ -15,19 +15,21 @@ k-means variants learn the mapping:
 
 ``lookup`` answers the inverse question — given a desired indicator value,
 return the ``phi`` centroid of the nearest cluster.  Distance is always
-the rounded ``|delta chi|``; ties, including duplicate centroids and far
+the rounded ``|delta chi|``; ties, including equal centroids and far
 targets whose rounded distances to two centroids come out equal, break
 toward the earliest-inserted cluster.
 
 Both clusterers are deterministic (no internal randomness).  Centroids and
 counts live in plain lists indexed by cluster id.  The first nearest search
 (a lookup, or the first sample past seeding) sorts the ``chi`` centroids once
-into a 1-D index ordered by ``(chi, id)``; later seeds insert into it.  The
-nearest cluster is found by bisecting that index and walking outward only
-while the rounded distance still equals the best so far: O(log K) plus one
-step per tied key.  An absorbed centroid moves toward the sample and in exact
-arithmetic cannot pass another centroid, so its key is re-sorted only when a
-duplicate, a rounding tie or an overflow puts it out of order.  Learning
+into a 1-D index ordered by ``chi``; later seeds insert into it.  The nearest
+cluster is found by bisecting that index and walking outward only while the
+rounded distance still equals the best so far: O(log K) plus one step per
+tied key.  The tie rule lives in that walk alone, which visits every key at
+the best distance and keeps the lowest id, so the index keeps equal keys in
+no particular order.  An absorbed centroid moves toward the sample and in
+exact arithmetic cannot pass another centroid, so its key is re-sorted only
+when rounding or the overflow step puts it strictly out of order.  Learning
 mutates state and must be serialized by the caller, as must the first lookup
 after seeding, which builds the index; later lookups are read-only.
 """
@@ -35,7 +37,7 @@ after seeding, which builds the index; later lookups are read-only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -134,7 +136,7 @@ class _OnlineClusterer:
         self._chi: list[float] = []
         self._phi: list[float] = []
         self._count: list[int] = []
-        # The chi centroids sorted by (chi, id), and the id at each position;
+        # The chi centroids in ascending order, and the id at each position;
         # both stay empty until the first nearest search builds them.
         self._keys: list[float] = []
         self._ids: list[int] = []
@@ -175,8 +177,8 @@ class _OnlineClusterer:
                 self._count[k] = n
                 keys = self._keys
                 keys[position] = new
-                if (position + 1 < len(keys) and keys[position + 1] <= new) or (
-                    position and keys[position - 1] >= new
+                if (position + 1 < len(keys) and keys[position + 1] < new) or (
+                    position and keys[position - 1] > new
                 ):
                     del keys[position], self._ids[position]
                     self._insert(k, new)
@@ -201,7 +203,6 @@ class _OnlineClusterer:
         keys = self._keys
         ids = self._ids
         if not keys:
-            # A stable sort keeps equal keys in id order, as insertion would.
             ids[:] = sorted(range(len(self._chi)), key=self._chi.__getitem__)
             keys[:] = map(self._chi.__getitem__, ids)
         size = len(keys)
@@ -225,14 +226,10 @@ class _OnlineClusterer:
         return position, k, left
 
     def _insert(self, k: int, chi: float) -> None:
-        """Enter cluster ``k`` at ``chi`` into the (chi, id)-ordered index."""
-        keys = self._keys
-        ids = self._ids
-        i = bisect_left(keys, chi)
-        if i < len(keys) and keys[i] == chi:
-            i = bisect_left(ids, k, i, bisect_right(keys, chi, i))
-        keys.insert(i, chi)
-        ids.insert(i, k)
+        """Enter cluster ``k`` at ``chi`` into the chi-ordered index."""
+        i = bisect_left(self._keys, chi)
+        self._keys.insert(i, chi)
+        self._ids.insert(i, k)
 
     @property
     def clusters(self) -> tuple[Cluster, ...]:

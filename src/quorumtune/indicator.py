@@ -183,9 +183,10 @@ class _Parser:
     """Recursive-descent parser over the token list.
 
     Each ``parse_*`` method returns the subtree with its height.  Only
-    parentheses and calls recurse (chains of ``^`` and unary minus are
-    parsed in loops), so counting the open ones in ``_depth`` bounds the
-    parser's own recursion, and ``_join`` bounds the height of the tree.
+    parentheses and calls recurse (chains of binary operators and of unary
+    minus are parsed in loops), so counting the open ones in ``_depth``
+    bounds the parser's own recursion, and ``_join`` bounds the height of
+    the tree.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
@@ -215,19 +216,13 @@ class _Parser:
             raise ParseError(_TOO_DEEP, pos)
         return height
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, height = self.parse_term()
-        while self._peek()[:2] in (("op", "+"), ("op", "-")):
+    def parse_binary(self, ops: str = "+-") -> tuple[Expr, int]:
+        # A left-associative chain over the operator pair ``ops``: ``expr``
+        # joins "*/" chains (terms) by "+-", and ``term`` joins factors by "*/".
+        node, height = self.parse_binary("*/") if ops == "+-" else self.parse_factor()
+        while self._peek()[0] == "op" and self._peek()[1] in ops:
             _, op, pos = self._advance()
-            right, right_height = self.parse_term()
-            node, height = BinOp(op, node, right), self._join(pos, height, right_height)
-        return node, height
-
-    def parse_term(self) -> tuple[Expr, int]:
-        node, height = self.parse_factor()
-        while self._peek()[:2] in (("op", "*"), ("op", "/")):
-            _, op, pos = self._advance()
-            right, right_height = self.parse_factor()
+            right, right_height = self.parse_binary("*/") if ops == "+-" else self.parse_factor()
             node, height = BinOp(op, node, right), self._join(pos, height, right_height)
         return node, height
 
@@ -276,7 +271,7 @@ class _Parser:
         self._depth += 1
         if self._depth > MAX_DEPTH:
             raise ParseError(_TOO_DEEP, open_pos)
-        node, height = self.parse_expr()
+        node, height = self.parse_binary()
         if self._peek()[:2] != ("op", ")"):
             raise self._unexpected()
         self._advance()
@@ -286,7 +281,7 @@ class _Parser:
         return node, height
 
     def parse_program(self) -> Expr:
-        node, _ = self.parse_expr()
+        node, _ = self.parse_binary()
         if self._peek()[0] != "end":
             raise self._unexpected()
         return node
@@ -308,29 +303,30 @@ def parse(source: str) -> IndicatorProgram:
     return IndicatorProgram(source=source, ast=_Parser(tokens).parse_program())
 
 
-# The errors that generated code raises, each naming a variable or a node.
+# The errors that generated code raises, each naming a variable or a node
+# through ``shown``, so a long name or node is cut to 80 characters.
 def _unbound(name: str) -> EvaluationError:
-    return EvaluationError(f"unbound variable {name!r}")
+    return EvaluationError(f"unbound variable {shown(name)}")
 
 
 def _not_real(name: str, value: object) -> EvaluationError:
-    return EvaluationError(f"variable {name!r} is bound to {shown(value)}, not a real number")
+    return EvaluationError(f"variable {shown(name)} is bound to {shown(value)}, not a real number")
 
 
 def _non_finite(name: str, value: float) -> EvaluationError:
-    return EvaluationError(f"variable {name!r} is bound to non-finite {value!r}")
+    return EvaluationError(f"variable {shown(name)} is bound to non-finite {value!r}")
 
 
 def _overflow(node: Expr, value: float) -> EvaluationError:
-    return EvaluationError(f"overflow: {_unparse(node)!r} evaluates to {value!r}")
+    return EvaluationError(f"overflow: {shown(_unparse(node))} evaluates to {value!r}")
 
 
 def _zero_division(node: Expr) -> EvaluationError:
-    return EvaluationError(f"division by zero in {_unparse(node)!r}")
+    return EvaluationError(f"division by zero in {shown(_unparse(node))}")
 
 
 def _domain_error(node: Expr, detail: object) -> EvaluationError:
-    return EvaluationError(f"domain error in {_unparse(node)!r}: {detail}")
+    return EvaluationError(f"domain error in {shown(_unparse(node))}: {detail}")
 
 
 # What generated code reads besides its argument, its locals and the builtins.

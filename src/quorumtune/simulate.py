@@ -52,8 +52,9 @@ its import.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from .clustering import Sample, _OnlineClusterer, _csv
 from .errors import ConfigError, as_finite, check_count, check_seed, check_type, shown
@@ -142,9 +143,8 @@ def empirical_staleness(sim: SimConfig) -> float:
     step = 1 if stepped else small
     rng = _generator(sim.seed)
     stale = 0
-    remaining = sim.trials
-    while remaining > 0:
-        rows = alive = min(remaining, _CHUNK)
+    for start in range(0, sim.trials, _CHUNK):
+        alive = min(sim.trials - start, _CHUNK)
         # Read the smaller quorum `step` replicas at a time.  A trial leaves
         # once it has met the larger quorum; before step j it has read j of
         # the others, so its next replicas are drawn from `large` good and
@@ -161,7 +161,6 @@ def empirical_staleness(sim: SimConfig) -> float:
                 met = np.count_nonzero(rng.hypergeometric(large, bad, small, size=alive))
             alive -= int(met)
         stale += alive
-        remaining -= rows
     return stale / sim.trials
 
 
@@ -193,7 +192,9 @@ class LoopConfig:
         self.clusterer._check_bootstrap(self.bootstrap_samples)
         check_count(self.n, "n")
         check_seed(self.seed)
+        check_type(self.targets, Iterable, "targets")
         object.__setattr__(self, "targets", tuple(as_finite(t, "target") for t in self.targets))
+        check_type(self.constants, Mapping, "constants")
         object.__setattr__(self, "constants", dict(self.constants))
         check_type(self.options, SolveOptions, "options")
 

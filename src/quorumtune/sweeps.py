@@ -23,10 +23,11 @@ time — reproduces the same numbers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
@@ -210,22 +211,27 @@ def _run_point(
 def _sweep(
     relation: RelationSpec,
     algorithm: str,
-    clusterers: Iterable[_OnlineClusterer],
+    name: str,
+    values: Iterable[float],
+    make: Callable[[float], _OnlineClusterer],
     key: Callable[[_OnlineClusterer], float],
     row: Callable[[_OnlineClusterer, float], SequentialRow | IncrementalRow],
     bootstrap: int,
     tests: int,
     seed: int,
 ) -> RmseReport:
-    """The report of a sweep over ``clusterers``, a lazy map over the sweep
-    values, run in ascending ``key`` order; point ``i`` draws from a
-    generator derived from ``(seed, i)`` and ``row`` makes its row.  All
-    checks come before any point runs: sizes and seed, each value as it is
-    built (before any comparison), emptiness, then seeding."""
+    """The report of a sweep over the clusterers that ``make`` builds from
+    the sweep ``values``, run in ascending ``key`` order; point ``i`` draws
+    from a generator derived from ``(seed, i)`` and ``row`` makes its row.
+    All checks come before any point runs: sizes and seed, the relation and
+    the container of ``values`` (named ``name`` in its message), each value
+    as it is built (before any comparison), emptiness, then seeding."""
     check_count(bootstrap, "bootstrap")
     check_count(tests, "tests")
     check_seed(seed)
-    clusterers = sorted(clusterers, key=key)
+    check_type(relation, RelationSpec, "relation")
+    check_type(values, Iterable, name)
+    clusterers = sorted(map(make, values), key=key)
     if not clusterers:
         raise ConfigError("a sweep needs at least one cluster count or threshold")
     for clusterer in clusterers:
@@ -250,7 +256,8 @@ def evaluate_sequential(
     its own generator derived from ``(seed, point index)``.
     """
     return _sweep(
-        relation, "seq", map(SequentialClusterer, cluster_counts), attrgetter("capacity"),
+        relation, "seq", "cluster_counts", cluster_counts,
+        SequentialClusterer, attrgetter("capacity"),
         lambda clusterer, rmse: SequentialRow(clusterer.capacity, rmse),
         bootstrap, tests, seed,
     )
@@ -269,7 +276,8 @@ def evaluate_incremental(
     own generator derived from ``(seed, point index)``.
     """
     return _sweep(
-        relation, "incr", map(IncrementalClusterer, thresholds), attrgetter("threshold"),
+        relation, "incr", "thresholds", thresholds,
+        IncrementalClusterer, attrgetter("threshold"),
         lambda clusterer, rmse: IncrementalRow(clusterer.threshold, len(clusterer), rmse),
         bootstrap, tests, seed,
     )

@@ -274,6 +274,17 @@ class TestLoop:
         assert code == 2
         assert "C" in err
 
+    def test_a_long_unbound_name_is_cut_short(self, capsys):
+        code, _, err = run(
+            capsys, "loop", "--expr", "b" * 10**5 + "*phi", "--targets", "0.5", "--n", "5",
+            "--seed", "3",
+        )
+        assert code == 2
+        assert err == (
+            f"error: expression reads unbound variable(s) {'b' * 76}...; "
+            "bind them with --const NAME=VALUE\n"
+        )
+
     @pytest.mark.parametrize("item", ["A", "A=x", "A=1=2"])
     def test_malformed_const_is_usage_error(self, capsys, item):
         code, _, err = run(

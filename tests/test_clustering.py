@@ -284,6 +284,30 @@ def sample_streams(draw):
     return list(zip(chis, phis))
 
 
+# Keys whose rounded distances tie often: repeats, and 0.0 and 1.0 seen from
+# +-1e16, where both round to the distance 1e16 (as in the
+# far-sample-rounded-tie stream below).  Means of a few hundred of them stay
+# finite, so the oracles' running means apply.
+_TIE_KEYS = [0.0, 1.0, 0.5, 2.0, -1.0, 1e16, -1e16]
+_TIE_CHI = st.integers(0, 7).flatmap(
+    lambda k: st.floats(-3.0, 3.0) if k == 7 else st.sampled_from(_TIE_KEYS)
+)
+
+
+@st.composite
+def tie_dense_streams(draw):
+    """Learns and lookups interleaved, as ``(chi, phi)`` with ``phi`` None
+    for a lookup.  Each learned level is distinct, so a tie broken toward
+    the wrong cluster shows in the level looked up."""
+    size = draw(st.integers(min_value=1, max_value=80))
+    chis = draw(st.lists(_TIE_CHI, min_size=size, max_size=size))
+    lookups = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return [
+        (chi, None if lookup else (i + 1) / (size + 1))
+        for i, (chi, lookup) in enumerate(zip(chis, lookups))
+    ]
+
+
 class TestAgainstReference:
     @given(stream=sample_streams(), capacity=st.integers(min_value=1, max_value=12))
     @settings(max_examples=120, deadline=None)
@@ -311,6 +335,30 @@ class TestAgainstReference:
         assert [c.chi_centroid for c in ours.clusters] == ref.chi
         assert [c.phi_centroid for c in ours.clusters] == ref.phi
         assert [c.count for c in ours.clusters] == ref.count
+
+    @given(
+        stream=tie_dense_streams(),
+        pair=st.integers(1, 6).map(lambda c: (SequentialClusterer(c), RefSequential(c)))
+        | st.sampled_from([1e-3, 0.5, 2.0]).map(
+            lambda t: (IncrementalClusterer(t), RefIncremental(t))
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tie_dense_stream_matches_reference(self, stream, pair):
+        ours, ref = pair
+        for x, p in stream:
+            if p is not None:
+                assert ours.learn(Sample(x, p)) == ref.learn(x, p), (x, p)
+            elif ref.chi:
+                assert ours.lookup(x).phi == ref.lookup(x), x
+            else:
+                with pytest.raises(UnlearnedError):
+                    ours.lookup(x)
+        assert [c.chi_centroid for c in ours.clusters] == ref.chi
+        assert [c.phi_centroid for c in ours.clusters] == ref.phi
+        assert [c.count for c in ours.clusters] == ref.count
+        for target in _TIE_KEYS + ref.chi if ref.chi else ():
+            assert ours.lookup(target).phi == ref.lookup(target), target
 
     # Deterministic ties that the +-50 Hypothesis streams never reach.  Each
     # stream is replayed through both clusterers and their oracles; the

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from quorumtune import (
     ConfigError,
     DomainError,
+    EvaluationError,
     IncrementalClusterer,
     IncrementalRow,
     LoopConfig,
@@ -26,6 +27,7 @@ from quorumtune import (
     SimConfig,
     SolveMode,
     SolveOptions,
+    evaluate,
     evaluate_incremental,
     evaluate_sequential,
     parse,
@@ -124,18 +126,62 @@ class TestOptionsAreChecked:
         (parse, ("a" * 10**6 + "(1)",), ParseError),
         (parse, ("phi " + "a" * 10**6,), ParseError),
         (parse, ("9" * 10**4,), ParseError),
+        (evaluate, (parse("a" * 10**6), {}), EvaluationError),
+        (evaluate, (parse(LONG + "/0"), {LONG: 1.0}), EvaluationError),
+        (evaluate, (parse(LONG), {LONG: math.inf}), EvaluationError),
+        (evaluate, (parse(LONG), {LONG: LONG}), EvaluationError),
+        (evaluate, (parse(f"log10({LONG})"), {LONG: -1.0}), EvaluationError),
+        (evaluate, (parse(LONG + "*1e308*10"), {LONG: 1.0}), EvaluationError),
+        (evaluate_sequential, ("x", [5], 5, 1), ConfigError),
+        (evaluate_sequential, (LINEAR, None), ConfigError),
+        (evaluate_incremental, (LINEAR, None), ConfigError),
+        (LoopConfig, (parse("phi"), SequentialClusterer(5), 10, None, 1, 5), ConfigError),
+        (LoopConfig, (parse("phi"), SequentialClusterer(5), 10, (0.5,), 1, 5, 5), ConfigError),
     ],
     ids=[
         "simconfig-huge-config", "quorum-huge-r", "quorum-huge-w", "simconfig-huge-n",
         "report-row-huge-clusters", "report-long-algorithm", "sweep-huge-capacity",
         "loop-long-clusterer", "loop-long-relation", "solve-huge-target",
         "parse-long-function", "parse-long-unexpected", "parse-long-number",
+        "evaluate-long-unbound", "evaluate-long-zero-division", "evaluate-long-non-finite",
+        "evaluate-long-not-real", "evaluate-long-log10", "evaluate-long-overflow",
+        "sweep-relation-str", "sweep-counts-none", "sweep-thresholds-none",
+        "loop-targets-none", "loop-constants-int",
     ],
 )
 def test_a_huge_or_long_value_is_rejected_in_a_short_message(call, args, error):
     with pytest.raises(error) as info:
         call(*args)
     assert len(str(info.value)) <= MESSAGE_LIMIT
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (evaluate_sequential, ("x", [5], 5, 1), "relation must be a RelationSpec, got 'x'"),
+        (evaluate_sequential, (LINEAR, None), "cluster_counts must be an Iterable, got None"),
+        (evaluate_incremental, (LINEAR, 0.5), "thresholds must be an Iterable, got 0.5"),
+        (
+            LoopConfig, (parse("phi"), SequentialClusterer(5), 10, None, 1, 5),
+            "targets must be an Iterable, got None",
+        ),
+        (
+            LoopConfig, (parse("phi"), SequentialClusterer(5), 10, (), 1, 5, 5),
+            "constants must be a Mapping, got 5",
+        ),
+    ],
+    ids=["sweep-relation", "sweep-counts", "sweep-thresholds", "loop-targets", "loop-constants"],
+)
+def test_a_container_is_checked_by_the_type_rule(call, args, message):
+    with pytest.raises(ConfigError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
+def test_a_long_evaluation_error_keeps_its_ellipsis():
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse(LONG + "/0"), {LONG: 1.0})
+    assert str(info.value) == f"division by zero in '({'x' * 75}..."
 
 
 def test_a_long_number_keeps_its_ellipsis():
@@ -205,8 +251,8 @@ def _solve(draw):
 def _loop_config(draw):
     relation = draw(_mostly(st.just(parse("A*phi + C")), st.sampled_from(["phi", LONG]) | _WRONG))
     clusterer = draw(_CLUSTERER)
-    targets = draw(st.lists(_REAL, max_size=3))
-    constants = {"A": 1.0, "C": 0.0}
+    targets = draw(_mostly(st.lists(_REAL, max_size=3)))
+    constants = draw(_mostly(st.just({"A": 1.0, "C": 0.0})))
     return (
         relation, clusterer, draw(_SIZE), targets, draw(_SEED),
         draw(_SIZE), constants, draw(_SOLVE_OPTIONS),
@@ -230,16 +276,21 @@ _BOOTSTRAP = _mostly(st.just(20))
 _TESTS = _mostly(st.integers(1, 3))
 
 
+_SWEEP_RELATION = _mostly(st.just(LINEAR))
+
+
 @st.composite
 def _sweep_sequential(draw):
-    counts = draw(st.lists(_mostly(st.integers(1, 20), st.just(HUGE) | _WRONG), max_size=3))
-    return LINEAR, counts, draw(_BOOTSTRAP), draw(_TESTS), draw(_SEED)
+    counts = draw(_mostly(
+        st.lists(_mostly(st.integers(1, 20), st.just(HUGE) | _WRONG), max_size=3)
+    ))
+    return draw(_SWEEP_RELATION), counts, draw(_BOOTSTRAP), draw(_TESTS), draw(_SEED)
 
 
 @st.composite
 def _sweep_incremental(draw):
-    thresholds = draw(st.lists(_REAL, max_size=3))
-    return LINEAR, thresholds, draw(_BOOTSTRAP), draw(_TESTS), draw(_SEED)
+    thresholds = draw(_mostly(st.lists(_REAL, max_size=3)))
+    return draw(_SWEEP_RELATION), thresholds, draw(_BOOTSTRAP), draw(_TESTS), draw(_SEED)
 
 
 _SOURCES = st.text(alphabet="phiAC0123456789e.+-*/^() logx$", max_size=30) | st.sampled_from(
@@ -248,6 +299,30 @@ _SOURCES = st.text(alphabet="phiAC0123456789e.+-*/^() logx$", max_size=30) | st.
         HUGE, None, b"phi",
     ]
 )
+
+
+# Programs that read one variable, named briefly or at length, each where one
+# evaluation error would name that variable or a node around it.
+_PROGRAMS = [
+    parse(template.format(name))
+    for name in ("phi", LONG)
+    for template in (
+        "{}", "{}/0", "1/({0}-{0})", "log10({})", "{}*1e308*10", "(-1-{})^0.5", "2^{}",
+    )
+]
+_BINDING = st.sampled_from(
+    [0.5, 0.0, -1.0, 1e308, math.inf, -math.inf, math.nan, "5", "x", LONG, 10**300, HUGE, None]
+)
+
+
+@st.composite
+def _evaluate(draw):
+    """A program and dict bindings: its variable missing, or bound to a
+    number, a non-finite float, a string or a huge int."""
+    program = draw(st.sampled_from(_PROGRAMS))
+    (name,) = program.free_variables
+    bindings = draw(st.just({}) | _BINDING.map(lambda value: {name: value}))
+    return program, bindings
 
 
 _CALLS = {
@@ -266,6 +341,7 @@ _CALLS = {
     "evaluate_sequential": (evaluate_sequential, _sweep_sequential()),
     "evaluate_incremental": (evaluate_incremental, _sweep_incremental()),
     "parse": (parse, st.tuples(_SOURCES)),
+    "evaluate": (evaluate, _evaluate()),
 }
 
 
