@@ -41,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .errors import (
-    ConfigError, DomainError, UnlearnedError, as_finite, as_real, check_count, shown,
+    ConfigError, DomainError, UnlearnedError, as_finite, as_number, as_real, check_count, shown,
 )
 from .quorum import ConsistencyLevel
 
@@ -102,6 +102,14 @@ class Cluster:
     chi_centroid: float
     phi_centroid: float
     count: int
+
+
+def _plain_numbers(row: object) -> None:
+    """Make each field of the frozen dataclass ``row`` a plain ``int`` or
+    ``float`` (:func:`~quorumtune.errors.as_number`), so that :func:`_csv`
+    writes a number and never a numpy ``repr`` or a string."""
+    for f in fields(row):
+        object.__setattr__(row, f.name, as_number(getattr(row, f.name), f.name))
 
 
 def _csv(row_type: type, rows) -> str:

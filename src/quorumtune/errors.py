@@ -3,16 +3,20 @@
 Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
 with a single ``except`` clause.  The input checks shared by the other
-modules (:func:`check_type`, :func:`check_count`, :func:`check_seed`,
-:func:`as_real`, :func:`as_finite`) live here too, so each rule and its
-message are written once.  Every rejection by a constructor, a solve or the
-parser that prints the rejected value, here or in another module, formats it
-with :func:`shown`, so its message stays short whatever the input.
+modules (:func:`check_type`, :func:`check_values`, :func:`check_count`,
+:func:`check_seed`, :func:`as_real`, :func:`as_finite`, :func:`as_number`)
+live here too, so each rule and its message are written once.  Every
+rejection by a constructor, a solve or the parser that prints the rejected
+value, here or in another module, formats it with :func:`shown`, so its
+message stays short whatever the input.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+from collections.abc import Iterable
 
 __all__ = [
     "DomainError",
@@ -85,6 +89,14 @@ def check_type(value: object, type_: type, name: str) -> None:
         raise ConfigError(f"{name} must be {article} {type_.__name__}, got {shown(value)}")
 
 
+def check_values(values: object, name: str) -> None:
+    """Require an ``Iterable`` of values that is not a ``str`` or ``bytes``,
+    which would be read one character or byte at a time."""
+    check_type(values, Iterable, name)
+    if isinstance(values, (str, bytes)):
+        raise ConfigError(f"{name} must be a collection of numbers, got {shown(values)}")
+
+
 def check_count(value: int, name: str) -> None:
     """Require an ``int`` (not a ``bool``) that is at least 1."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -108,6 +120,19 @@ def as_real(value: float, name: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a real number, got {shown(value)}") from None
+
+
+def as_number(value: object, name: str) -> int | float:
+    """``value`` as a plain ``int`` or ``float``: an integer (numpy's
+    included) through ``operator.index``, any other real number through
+    :func:`as_real`; a :class:`ConfigError` naming ``name`` for anything
+    else, a ``bool`` or a ``str`` included.  The type alone is checked, not
+    the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {shown(value)}")
+    if isinstance(value, numbers.Integral):
+        return operator.index(value)
+    return as_real(value, name)
 
 
 def as_finite(value: float, name: str) -> float:

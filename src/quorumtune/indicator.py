@@ -37,7 +37,10 @@ into a numbered local ``v<k>``; a parsed literal is a finite float, emitted
 with ``repr``.  Anything else a hand-built tree holds, and each node that an
 error message would name, is passed to the function as a global, not as
 text.  So the generated source grows linearly in the expression's length,
-as do the time and memory to compile it.
+as do the time and memory to compile it.  The adaptation loop and the
+sweeps compile their relation once more with its constants written in as
+literals (``_with_constants``, cached), so each monitored sample reads and
+checks only ``phi``.
 
 Nesting is bounded by :data:`MAX_DEPTH`: the parser rejects source with
 more nested parentheses than that, or whose tree is taller than that (a
@@ -50,6 +53,7 @@ input exhausts the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -303,6 +307,10 @@ def parse(source: str) -> IndicatorProgram:
     return IndicatorProgram(source=source, ast=_Parser(tokens).parse_program())
 
 
+def _not_a_node(node: object) -> str:
+    return f"not an expression node: {shown(node)}"
+
+
 # The errors that generated code raises, each naming a variable or a node
 # through ``shown``, so a long name or node is cut to 80 characters.
 def _unbound(name: str) -> EvaluationError:
@@ -344,10 +352,13 @@ _RUNTIME = {
 
 
 def _compile(
-    ast: Expr, error: type[IndicatorError]
+    ast: Expr, error: type[IndicatorError], constants: Mapping[str, float] | None = None
 ) -> tuple[Callable[[Bindings], float], frozenset[str]]:
     """One generated Python function that evaluates ``ast`` under bindings,
     and the names of the variables it reads.
+
+    A variable named in ``constants``, whose values must be finite floats,
+    is written in as its value's literal and read from no binding.
 
     One walk does it all: it bounds the depth, raising ``error`` at the first
     node deeper than :data:`MAX_DEPTH` (so it never recurses past
@@ -368,6 +379,7 @@ def _compile(
     lines: list[str] = []
     namespace = dict(_RUNTIME)
     local_of: dict[object, str] = {}
+    constants = constants or {}
 
     def global_(value: object) -> str:
         name = f"k{len(namespace)}"
@@ -420,6 +432,8 @@ def _compile(
             return result, False
         if isinstance(node, Var):
             name = node.name
+            if name in constants:
+                return literal(constants[name]), True
             local = local_of.get(name)
             if local is None:
                 local = local_of[name] = f"v{len(local_of)}"
@@ -437,6 +451,8 @@ def _compile(
             return literal(value), type(value) is float and isfinite(value)
         if isinstance(node, Neg):
             return temp(f"-{visit(node.operand, depth)[0]}"), False
+        if not isinstance(node, Call):
+            raise error(_not_a_node(node))
         arg = visit(node.arg, depth)[0]
         if node.func == "log10":
             lines.append(
@@ -451,7 +467,9 @@ def _compile(
         check_finite(ast, result)
     body = "".join(f"    {line}\n" for line in lines)
     exec(f"def _indicator(bindings):\n{body}    return {result}\n", namespace)
-    return namespace["_indicator"], frozenset(local_of)
+    # Popped, so the function and its globals form no cycle: a dropped
+    # program is freed at once, not at the next full collection.
+    return namespace.pop("_indicator"), frozenset(local_of)
 
 
 def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
@@ -476,6 +494,44 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     if isinstance(program, IndicatorProgram):
         return program._run(bindings)  # the hot path: compiled when built
     return _compile(program, EvaluationError)[0](bindings)
+
+
+def _with_constants(program: IndicatorProgram, constants: Bindings) -> IndicatorProgram:
+    """``program`` compiled once more for a caller that evaluates it many
+    times under ``constants`` with only ``phi`` rebound between calls.
+
+    Each constant the program reads is written in as a literal when its
+    value is an ``int`` or a ``float`` whose ``float`` is finite and its name
+    is not ``phi``; every other variable stays a read of the bindings.  So
+    :func:`evaluate` of the result under ``constants`` (``phi`` included)
+    returns the same bits as that of ``program``, or raises the same error at
+    the same node.  ``program`` itself comes back when nothing is written in.
+    """
+    literals = []
+    for name in program._names:  # one order per program: the key's order
+        value = constants.get(name)
+        if name != "phi" and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except (TypeError, ValueError, OverflowError):
+                continue
+            if isfinite(number):
+                literals.append((name, repr(number)))
+    return _folded(program, id(program), tuple(literals)) if literals else program
+
+
+# Each constant is keyed on its literal text, never on its float: 0.0 and
+# -0.0 compare equal but write different bits.  The id keeps apart programs
+# that compare equal over different trees (a hand-built Num(0.0) equals
+# Num(-0.0)); the key holds the program, so its id is not reused while cached.
+@functools.lru_cache(maxsize=128)
+def _folded(
+    program: IndicatorProgram, identity: int, literals: tuple[tuple[str, str], ...]
+) -> IndicatorProgram:
+    run, _ = _compile(program.ast, IndicatorError, {name: float(text) for name, text in literals})
+    folded = object.__new__(IndicatorProgram)
+    vars(folded).update(vars(program), _run=run)
+    return folded
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:
@@ -508,7 +564,9 @@ def _unparse(node: Expr, depth: int = 1) -> str:
         return f"(-{_unparse(node.operand, depth)})"
     if isinstance(node, BinOp):
         return f"({_unparse(node.left, depth)} {node.op} {_unparse(node.right, depth)})"
-    return f"{node.func}({_unparse(node.arg, depth)})"
+    if isinstance(node, Call):
+        return f"{node.func}({_unparse(node.arg, depth)})"
+    raise IndicatorError(_not_a_node(node))
 
 
 def free_variables(node: Expr | IndicatorProgram) -> frozenset[str]:

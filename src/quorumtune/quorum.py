@@ -146,6 +146,7 @@ def staleness_probability(config: QuorumConfig) -> float:
     >>> staleness_probability(QuorumConfig(r=2, w=3, n=5))
     0.1
     """
+    check_type(config, QuorumConfig, "config")
     num, den = _staleness_ratio(config.r, config.w, config.n)
     return num / den
 
@@ -159,6 +160,7 @@ def consistency_level(config: QuorumConfig) -> ConsistencyLevel:
     >>> consistency_level(QuorumConfig(r=2, w=3, n=5)).phi
     0.9
     """
+    check_type(config, QuorumConfig, "config")
     num, den = _staleness_ratio(config.r, config.w, config.n)
     return ConsistencyLevel((den - num) / den)
 

@@ -52,13 +52,15 @@ its import.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .clustering import Sample, _OnlineClusterer, _csv
-from .errors import ConfigError, as_finite, check_count, check_seed, check_type, shown
-from .indicator import IndicatorProgram, evaluate
+from .clustering import Sample, _OnlineClusterer, _csv, _plain_numbers
+from .errors import (
+    ConfigError, as_finite, check_count, check_seed, check_type, check_values, shown,
+)
+from .indicator import IndicatorProgram, _with_constants, evaluate
 from .quorum import (
     DEFAULT_SOLVE_OPTIONS,
     QuorumConfig,
@@ -192,7 +194,7 @@ class LoopConfig:
         self.clusterer._check_bootstrap(self.bootstrap_samples)
         check_count(self.n, "n")
         check_seed(self.seed)
-        check_type(self.targets, Iterable, "targets")
+        check_values(self.targets, "targets")
         object.__setattr__(self, "targets", tuple(as_finite(t, "target") for t in self.targets))
         check_type(self.constants, Mapping, "constants")
         object.__setattr__(self, "constants", dict(self.constants))
@@ -214,6 +216,9 @@ class LoopTraceEntry:
     w: int
     chi_achieved: float
 
+    def __post_init__(self) -> None:
+        _plain_numbers(self)
+
 
 def _monitor(
     relation: IndicatorProgram,
@@ -226,7 +231,9 @@ def _monitor(
     (PHI_FLOOR, 1] and feed each pair to ``clusterer``.
 
     ``bindings`` holds the relation's constants; its ``phi`` entry is
-    reassigned per draw.  The sweeps train their clusterers here too.
+    reassigned per draw.  Its callers, the loop and the sweeps, pass the
+    relation with its constants written in (``indicator._with_constants``),
+    so each draw reads and checks only ``phi``.
     Memory stays O(``_LEVELS_PER_DRAW``) whatever ``count`` is.
     """
     for start in range(0, count, _LEVELS_PER_DRAW):
@@ -244,7 +251,8 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
     """
     rng = _generator(loop.seed)
     bindings = dict(loop.constants)
-    _monitor(loop.relation, bindings, loop.clusterer, rng, loop.bootstrap_samples)
+    relation = _with_constants(loop.relation, bindings)
+    _monitor(relation, bindings, loop.clusterer, rng, loop.bootstrap_samples)
 
     entries: list[LoopTraceEntry] = []
     for chi_target in loop.targets:
@@ -258,7 +266,7 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
                 phi_chosen=level.phi,
                 r=cfg.r,
                 w=cfg.w,
-                chi_achieved=evaluate(loop.relation, bindings),
+                chi_achieved=evaluate(relation, bindings),
             )
         )
     return entries

@@ -29,11 +29,15 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv
+from .clustering import (
+    IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv, _plain_numbers,
+)
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
 from .clustering import Sample  # noqa: F401
-from .errors import ConfigError, as_finite, check_count, check_seed, check_type, shown
-from .indicator import IndicatorProgram, evaluate, parse
+from .errors import (
+    ConfigError, as_finite, check_count, check_seed, check_type, check_values, shown,
+)
+from .indicator import IndicatorProgram, _with_constants, evaluate, parse
 from .simulate import PHI_FLOOR, _generator, _monitor
 
 if TYPE_CHECKING:
@@ -139,12 +143,18 @@ class SequentialRow:
     clusters: int
     rmse: float
 
+    def __post_init__(self) -> None:
+        _plain_numbers(self)
+
 
 @dataclass(frozen=True)
 class IncrementalRow:
     threshold: float
     clusters: int
     rmse: float
+
+    def __post_init__(self) -> None:
+        _plain_numbers(self)
 
 
 # Each sweep algorithm's row type, whose fields are its CSV columns.
@@ -191,8 +201,10 @@ def _run_point(
     bootstrap: int,
     tests: int,
 ) -> float:
-    # The bindings of relation.chi, built once; only phi changes.
-    program, bindings = relation.program, relation.constants
+    # The bindings of relation.chi, built once, with the constants also
+    # written into the program; only phi changes.
+    bindings = relation.constants
+    program = _with_constants(relation.program, bindings)
     _monitor(program, bindings, clusterer, rng, bootstrap)
     lo, hi = chi_range(relation)
     targets = lo + rng.random(tests) * (hi - lo)
@@ -230,7 +242,7 @@ def _sweep(
     check_count(tests, "tests")
     check_seed(seed)
     check_type(relation, RelationSpec, "relation")
-    check_type(values, Iterable, name)
+    check_values(values, name)
     clusterers = sorted(map(make, values), key=key)
     if not clusterers:
         raise ConfigError("a sweep needs at least one cluster count or threshold")

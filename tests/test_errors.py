@@ -16,6 +16,7 @@ from quorumtune import (
     IncrementalClusterer,
     IncrementalRow,
     LoopConfig,
+    LoopTraceEntry,
     ParseError,
     QuorumConfig,
     ReadWriteBias,
@@ -27,11 +28,15 @@ from quorumtune import (
     SimConfig,
     SolveMode,
     SolveOptions,
+    consistency_level,
     evaluate,
     evaluate_incremental,
     evaluate_sequential,
+    free_variables,
     parse,
     solve_quorum,
+    staleness_probability,
+    unparse,
 )
 from quorumtune.errors import check_type, shown
 
@@ -325,6 +330,19 @@ def _evaluate(draw):
     return program, bindings
 
 
+_CONFIG = _mostly(
+    st.builds(QuorumConfig, st.integers(1, 5), st.integers(1, 5), st.just(5)),
+    st.just((1, 1, 5)) | _WRONG,
+)
+# A tree, a program, or something else: a name, a long string or a wrong value.
+_NODE = _mostly(
+    st.sampled_from(_PROGRAMS) | st.sampled_from([program.ast for program in _PROGRAMS]),
+    st.sampled_from(["phi", LONG]) | _WRONG,
+)
+# A row field: a plain or numpy number, a huge int, or a wrong value.
+_FIELD = _mostly(st.sampled_from([0, 5, -1.0, 0.5, np.float64(0.5), np.int64(5), HUGE]))
+
+
 _CALLS = {
     "QuorumConfig": (QuorumConfig, _quorum()),
     "SimConfig": (SimConfig, _sim_config()),
@@ -342,6 +360,13 @@ _CALLS = {
     "evaluate_incremental": (evaluate_incremental, _sweep_incremental()),
     "parse": (parse, st.tuples(_SOURCES)),
     "evaluate": (evaluate, _evaluate()),
+    "consistency_level": (consistency_level, st.tuples(_CONFIG)),
+    "staleness_probability": (staleness_probability, st.tuples(_CONFIG)),
+    "unparse": (unparse, st.tuples(_NODE)),
+    "free_variables": (free_variables, st.tuples(_NODE)),
+    "SequentialRow": (SequentialRow, st.tuples(_FIELD, _FIELD)),
+    "IncrementalRow": (IncrementalRow, st.tuples(_FIELD, _FIELD, _FIELD)),
+    "LoopTraceEntry": (LoopTraceEntry, st.tuples(*[_FIELD] * 5)),
 }
 
 

@@ -5,10 +5,15 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_ast, tuple_eval, tuple_free_variables, tuple_to_source
+from quorumtune import indicator
 from quorumtune import (
     BinOp,
     Call,
@@ -390,3 +395,113 @@ def test_hand_built_names_need_not_be_identifiers():
     with pytest.raises(EvaluationError) as info:
         evaluate(Var("it's"), {})
     assert str(info.value) == "unbound variable \"it's\""
+
+
+def test_a_value_that_is_not_a_node_is_an_indicator_error():
+    for call in (unparse, free_variables, lambda node: IndicatorProgram("phi", node)):
+        with pytest.raises(IndicatorError) as info:
+            call("phi")
+        assert str(info.value) == "not an expression node: 'phi'"
+    with pytest.raises(EvaluationError, match="^not an expression node: None$"):
+        evaluate(BinOp("+", Var("x"), None), {"x": 1.0})
+
+
+# Constant values of every kind a caller may bind: those written in as
+# literals (finite ints, floats, bools and numpy floats, both zeros among
+# them) and those left as reads (non-finite, strings, huge ints, None and
+# numpy ints).
+_CONSTANT = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, np.float64(-0.0), 1, -3, True, False, 2**60, np.float64(2.5), np.int64(5),
+        math.inf, -math.inf, math.nan, "2", "x", None, 10**400, -(10**400),
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+)
+# Each name random_ast reads, "phi" included; a drawn map may miss any.
+_CONSTANTS = st.dictionaries(st.sampled_from(("A", "B", "C", "D", "x_1", "phi")), _CONSTANT)
+
+
+def outcome(program, bindings):
+    """The result's type and exact text, or the error's type and message."""
+    try:
+        value = evaluate(program, bindings)
+    except Exception as exc:  # the comparison covers every exception
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+class TestConstantsWrittenIn:
+    """``indicator._with_constants`` compiles a program with its constants as
+    literals; evaluating it must match evaluating the program itself."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 5),
+        maps=st.lists(_CONSTANTS, min_size=1, max_size=3),
+        phis=st.lists(st.sampled_from([0.5, 1e-6, 1.0, -0.0, 0.0, 1e300, -2.0]), max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_evaluate_on_the_full_bindings(self, seed, depth, maps, phis):
+        # One program under several constant maps in turn, as a sweep and a
+        # loop run one after another: a map must never get another's literals,
+        # not even those of the map with each float negated (0.0 and -0.0
+        # compare equal).
+        program = parse(tuple_to_source(random_ast(random.Random(seed), depth)))
+        maps += [{k: -v if isinstance(v, float) else v for k, v in m.items()} for m in maps]
+        for constants in maps:
+            folded = indicator._with_constants(program, constants)
+            bindings = dict(constants)
+            assert outcome(folded, bindings) == outcome(program, bindings)
+            for phi in phis:
+                bindings["phi"] = phi
+                assert outcome(folded, bindings) == outcome(program, bindings)
+
+    def test_negative_zero_after_zero_keeps_its_sign(self):
+        program = parse("A*phi")
+        zero = indicator._with_constants(program, {"A": 0.0})
+        negative = indicator._with_constants(program, {"A": -0.0})
+        assert repr(evaluate(zero, {"A": 0.0, "phi": 0.5})) == "0.0"
+        assert repr(evaluate(negative, {"A": -0.0, "phi": 0.5})) == "-0.0"
+
+    @pytest.mark.parametrize(
+        "constants",
+        [{}, {"A": math.inf}, {"A": math.nan}, {"A": "2"}, {"A": 10**400}, {"A": np.int64(2)}],
+        ids=["missing", "inf", "nan", "str", "huge-int", "numpy-int"],
+    )
+    def test_a_constant_that_is_not_written_in_is_read(self, constants):
+        program = parse("A*phi")
+        assert indicator._with_constants(program, constants) is program
+
+    def test_equal_programs_over_different_trees_are_kept_apart(self):
+        # A hand-built Num(0.0) equals Num(-0.0), so these programs compare
+        # equal; each must still run its own tree.
+        positive = IndicatorProgram("A*0", BinOp("*", Var("A"), Num(0.0)))
+        negative = IndicatorProgram("A*0", BinOp("*", Var("A"), Num(-0.0)))
+        assert positive == negative
+        for program, text in ((positive, "0.0"), (negative, "-0.0")):
+            folded = indicator._with_constants(program, {"A": 1.0})
+            assert repr(evaluate(folded, {"A": 1.0})) == text
+
+    def test_phi_is_never_written_in(self):
+        program = parse("phi + A")
+        folded = indicator._with_constants(program, {"phi": 1.0, "A": 2.0})
+        assert evaluate(folded, {"phi": 5.0, "A": 2.0}) == 7.0
+
+    def test_the_folded_programs_are_bounded_in_memory(self):
+        # Each distinct constant set compiles once and the cache keeps only
+        # the most recent ones, so 10,000 sets hold as much as a hundred.
+        # The smallest program keeps the 10,000 traced compiles quick; each
+        # cached one holds about 2 KB.
+        program = parse("A")
+        bindings = {}
+        tracemalloc.start()
+        try:
+            for k in range(10_000):
+                bindings["A"] = float(k)
+                folded = indicator._with_constants(program, bindings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evaluate(folded, bindings) == 9999.0
+        assert peak < 2**20

@@ -13,6 +13,7 @@ from quorumtune import (
     EvaluationError,
     IncrementalClusterer,
     LoopConfig,
+    LoopTraceEntry,
     QuorumConfig,
     Sample,
     SequentialClusterer,
@@ -477,3 +478,57 @@ class TestTraceCsv:
 
     def test_empty_trace_is_header_only(self):
         assert trace_to_csv([]) == "chi_target,phi_chosen,r,w,chi_achieved\n"
+
+
+class TestConstantsWrittenIn:
+    def test_negative_zero_after_zero_matches_a_cold_run(self):
+        # The loop writes its constants into the program once; a run with
+        # A = -0.0 after one with A = 0.0 on the same program must not reuse
+        # the 0.0 literal, which compares equal but has the other sign.
+        def run(program, a):
+            loop = LoopConfig(
+                relation=program,
+                clusterer=SequentialClusterer(50),
+                bootstrap_samples=50,
+                targets=[0.0, -1.0],
+                seed=4,
+                n=5,
+                constants={"A": a},
+            )
+            trace = trace_to_csv(run_adaptation_loop(loop))
+            return loop.clusterer.csv_snapshot(), trace
+
+        cold = run(parse("A*phi"), -0.0)
+        assert "-0.0" in cold[0] and cold[1].endswith(",-0.0\n")
+        program = parse("A*phi")
+        assert run(program, 0.0) != cold
+        assert run(program, -0.0) == cold
+
+
+class TestContainersAndRows:
+    @pytest.mark.parametrize("targets", ["12", b"12"], ids=["str", "bytes"])
+    def test_targets_are_not_read_one_character_at_a_time(self, targets):
+        with pytest.raises(ConfigError) as info:
+            LoopConfig(parse("phi"), SequentialClusterer(5), 10, targets, 1, 5)
+        assert str(info.value) == f"targets must be a collection of numbers, got {targets!r}"
+
+    def test_numpy_scalars_become_plain_numbers(self):
+        entry = LoopTraceEntry(
+            np.float64(0.5), np.float64(0.9), np.int64(2), np.int64(3), np.float32(0.5)
+        )
+        assert trace_to_csv([entry]).split("\n")[1] == "0.5,0.9,2,3,0.5"
+        assert [type(value) for value in vars(entry).values()] == [float, float, int, int, float]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chi_achieved", "x"), ("r", None), ("w", True), ("phi_chosen", "0.5"),
+            ("chi_target", [1.0]),
+        ],
+    )
+    def test_a_field_that_is_not_a_number_is_rejected(self, field, value):
+        fields = dict(chi_target=0.5, phi_chosen=0.9, r=2, w=3, chi_achieved=0.5)
+        fields[field] = value
+        with pytest.raises(ConfigError) as info:
+            LoopTraceEntry(**fields)
+        assert str(info.value) == f"{field} must be a real number, got {value!r}"

@@ -218,6 +218,53 @@ class TestValidation:
             RmseReport(LINEAR, algorithm, 1, 10, 10, (row,))
 
 
+class TestContainersAndRows:
+    @pytest.mark.parametrize(
+        "sweep, name",
+        [(evaluate_sequential, "cluster_counts"), (evaluate_incremental, "thresholds")],
+    )
+    @pytest.mark.parametrize("values", ["12", b"12"], ids=["str", "bytes"])
+    def test_values_are_not_read_one_character_at_a_time(self, sweep, name, values):
+        with pytest.raises(ConfigError) as info:
+            sweep(LINEAR, values, bootstrap=20, tests=2)
+        assert str(info.value) == f"{name} must be a collection of numbers, got {values!r}"
+
+    def test_numpy_scalars_become_plain_numbers(self):
+        seq = SequentialRow(np.int64(5), np.float64(0.1))
+        incr = IncrementalRow(np.float64(0.01), np.int32(7), np.float32(0.25))
+        report = RmseReport(LINEAR, "seq", 1, 10, 10, (seq,))
+        assert report.to_csv().split("\n")[2] == "5,0.1"
+        assert (type(seq.clusters), type(seq.rmse)) == (int, float)
+        assert (incr.threshold, incr.clusters, incr.rmse) == (0.01, 7, 0.25)
+        assert [type(value) for value in vars(incr).values()] == [float, int, float]
+
+    @pytest.mark.parametrize(
+        "row, field, value",
+        [
+            (SequentialRow, "clusters", "5"),
+            (SequentialRow, "rmse", None),
+            (SequentialRow, "clusters", True),
+            (IncrementalRow, "threshold", "x"),
+            (IncrementalRow, "rmse", np.array([0.1, 0.2])),
+        ],
+    )
+    def test_a_field_that_is_not_a_number_is_rejected(self, row, field, value):
+        fields = {"clusters": 5, "rmse": 0.1}
+        if row is IncrementalRow:
+            fields["threshold"] = 0.1
+        fields[field] = value
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+            row(**fields)
+
+    def test_types_are_checked_not_ranges(self):
+        # The report checks the ranges, with the messages it always had.
+        assert math.isnan(SequentialRow(-1, math.nan).rmse)
+        row = SequentialRow(np.int64(5), np.float64(-1.0))
+        with pytest.raises(ConfigError) as info:
+            RmseReport(LINEAR, "seq", 1, 10, 10, (row,))
+        assert str(info.value) == "rmse must be >= 0, got SequentialRow(clusters=5, rmse=-1.0)"
+
+
 class TestProtocol:
     def test_rows_sorted_and_order_independent(self):
         shuffled = evaluate_sequential(LINEAR, [100, 5, 50, 10], seed=42)
