@@ -96,34 +96,37 @@ _set_phi = Sample.phi.__set__
 
 
 @dataclass(frozen=True)
-class Cluster:
+class _Row:
+    """A frozen CSV row type: its field names are its CSV header, in order.
+
+    Each field is made a plain ``int`` or ``float`` when the row is built
+    (:func:`~quorumtune.errors.as_number`), so :meth:`_csv` writes a number
+    and never a numpy ``repr`` or a string.  The field names are the CSV
+    contract: renaming a field renames its column in every file written
+    through here.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_number(getattr(self, f.name), f.name))
+
+    @classmethod
+    def _csv(cls, rows) -> str:
+        """``rows`` as CSV: the header line, then one line per row of each
+        field's ``repr``."""
+        names = [f.name for f in fields(cls)]
+        lines = [",".join(names)]
+        lines.extend(",".join(repr(getattr(row, name)) for name in names) for row in rows)
+        return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class Cluster(_Row):
     """A read-only snapshot of one cluster: centroids plus sample count."""
 
     chi_centroid: float
     phi_centroid: float
     count: int
-
-
-def _plain_numbers(row: object) -> None:
-    """Make each field of the frozen dataclass ``row`` a plain ``int`` or
-    ``float`` (:func:`~quorumtune.errors.as_number`), so that :func:`_csv`
-    writes a number and never a numpy ``repr`` or a string."""
-    for f in fields(row):
-        object.__setattr__(row, f.name, as_number(getattr(row, f.name), f.name))
-
-
-def _csv(row_type: type, rows) -> str:
-    """``rows`` as CSV: the field names of the dataclass ``row_type`` as the
-    header line, then one line per row of each field's ``repr``.
-
-    The field names are the CSV contract: renaming a field renames its
-    column in every file written through here.
-    """
-    names = [f.name for f in fields(row_type)]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(repr(getattr(row, name)) for name in names))
-    return "\n".join(lines) + "\n"
 
 
 class _OnlineClusterer:
@@ -256,7 +259,7 @@ class _OnlineClusterer:
 
     def csv_snapshot(self) -> str:
         """The cluster state as CSV (chi_centroid, phi_centroid, count)."""
-        return _csv(Cluster, self.clusters)
+        return Cluster._csv(self.clusters)
 
 
 class SequentialClusterer(_OnlineClusterer):

@@ -500,24 +500,18 @@ def _with_constants(program: IndicatorProgram, constants: Bindings) -> Indicator
     """``program`` compiled once more for a caller that evaluates it many
     times under ``constants`` with only ``phi`` rebound between calls.
 
-    Each constant the program reads is written in as a literal when its
-    value is an ``int`` or a ``float`` whose ``float`` is finite and its name
-    is not ``phi``; every other variable stays a read of the bindings.  So
-    :func:`evaluate` of the result under ``constants`` (``phi`` included)
-    returns the same bits as that of ``program``, or raises the same error at
-    the same node.  ``program`` itself comes back when nothing is written in.
+    Each value in ``constants`` must be a finite ``float``, as
+    ``LoopConfig`` and ``RelationSpec`` make them.  Each constant the
+    program reads, other than ``phi``, is written in as a literal; every
+    other variable stays a read of the bindings.  So :func:`evaluate` of
+    the result under ``constants`` (``phi`` included) returns the same bits
+    as that of ``program``, or raises the same error at the same node.
+    ``program`` itself comes back when nothing is written in.
     """
-    literals = []
-    for name in program._names:  # one order per program: the key's order
-        value = constants.get(name)
-        if name != "phi" and isinstance(value, (int, float)):
-            try:
-                number = float(value)
-            except (TypeError, ValueError, OverflowError):
-                continue
-            if isfinite(number):
-                literals.append((name, repr(number)))
-    return _folded(program, id(program), tuple(literals)) if literals else program
+    # One order of names per program: the cache key's order.
+    bound = [name for name in program._names if name != "phi" and name in constants]
+    literals = tuple((name, repr(constants[name])) for name in bound)
+    return _folded(program, id(program), literals) if literals else program
 
 
 # Each constant is keyed on its literal text, never on its float: 0.0 and

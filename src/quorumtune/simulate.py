@@ -8,21 +8,20 @@ only how many replicas the two quorums share.  That overlap has the same
 hypergeometric law whichever quorum is the sample, so the smaller one is:
 ``min(r, w)`` drawn from ``max(r, w)`` good and ``n - max(r, w)`` bad
 replicas, stale at 0, and (r, w) and (w, r) give the same estimate at the
-same seed.  The smaller quorum is read ``step`` replicas at a time, and a
-trial leaves at the first step that meets the larger quorum; by the chain
-rule the stale count has the same law for any step.  Where
-``2 * max(r, w) >= n`` or ``min(r, w) < 10`` (the *stepped region*), the
-step is 1: the one replica read is uniform over the unread ones, so it is
-an exact bounded integer draw, in the larger quorum when below
-``max(r, w)``.  A trial takes at most ``min(r, w)`` steps, and where
-``2 * max(r, w) >= n`` each replica meets the larger quorum with
-probability at least 1/2, so a trial takes at most 2 steps in expectation
-and a chunk about log2(``_CHUNK``) + O(1) numpy calls.  Elsewhere
-(``min(r, w) >= 10`` and ``2 * max(r, w) < n``) one hypergeometric step
-reads the whole quorum, which numpy serves by its ratio-of-uniforms method
-(HRUA).  Below a sample of 10 numpy would walk an urn, one scalar draw per
-replica, so the vectorised steps, which make no more draws, cost less.
-The draws share no code with the integer ratio in
+same seed.  Each region has its own branch.  Where ``2 * max(r, w) >= n`` or
+``min(r, w) < 10`` (the *stepped region*), a trial reads the smaller quorum
+one replica at a time and leaves at the first one in the larger quorum; by
+the chain rule its stale count has the same law.  Each replica read is
+uniform over the unread ones, so it is an exact bounded integer draw, in the
+larger quorum when below ``max(r, w)``.  A trial takes at most ``min(r, w)``
+steps, and where ``2 * max(r, w) >= n`` each replica meets the larger quorum
+with probability at least 1/2, so a trial takes at most 2 steps in
+expectation and a chunk about log2(``_CHUNK``) + O(1) numpy calls.
+Elsewhere (``min(r, w) >= 10`` and ``2 * max(r, w) < n``) each chunk is one
+hypergeometric draw of the whole quorum, which numpy serves by its
+ratio-of-uniforms method (HRUA).  Below a sample of 10 numpy would walk an
+urn, one scalar draw per replica, so the vectorised steps, which make no
+more draws, cost less.  The draws share no code with the integer ratio in
 :mod:`quorumtune.quorum`.  Cost: O(trials) time and O(``_CHUNK``) memory,
 independent of ``n``.
 
@@ -56,7 +55,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .clustering import Sample, _OnlineClusterer, _csv, _plain_numbers
+from .clustering import Sample, _OnlineClusterer, _Row
 from .errors import (
     ConfigError, as_finite, check_count, check_seed, check_type, check_values, shown,
 )
@@ -87,9 +86,10 @@ __all__ = [
 PHI_FLOOR = 1e-6
 
 # Trials are simulated in fixed-size batches, which bounds the simulator's
-# memory.  Consecutive draws continue one stream, so where one step reads
-# the whole quorum (min(r, w) >= 10 and 2 * max(r, w) < n) the batch size
-# changes no seeded result; in the stepped region it does.
+# memory.  Consecutive draws continue one stream, so where each batch is one
+# hypergeometric draw (min(r, w) >= 10 and 2 * max(r, w) < n) the batch size
+# changes no seeded result; in the stepped region, where each batch reads
+# one replica at a time, it does.
 _CHUNK = 1 << 16
 
 # Monitored levels are drawn and learned this many at a time, which bounds
@@ -142,26 +142,25 @@ def empirical_staleness(sim: SimConfig) -> float:
     # Below a sample of 10 numpy's hypergeometric sampler walks an urn, one
     # scalar draw per replica; the vectorised steps make no more draws.
     stepped = large >= bad or small < 10
-    step = 1 if stepped else small
     rng = _generator(sim.seed)
     stale = 0
     for start in range(0, sim.trials, _CHUNK):
         alive = min(sim.trials - start, _CHUNK)
-        # Read the smaller quorum `step` replicas at a time.  A trial leaves
-        # once it has met the larger quorum; before step j it has read j of
-        # the others, so its next replicas are drawn from `large` good and
-        # `bad - j` bad ones (a weak pair has bad >= small > j).  The trials
-        # left after `small` replicas are stale.
-        for j in range(0, small, step):
-            if alive == 0:
-                break
-            if stepped:
-                # The one replica read is uniform over the n - j unread ones,
-                # and the larger quorum holds `large` of them.
-                met = np.count_nonzero(rng.integers(cfg.n - j, size=alive) < large)
-            else:
-                met = np.count_nonzero(rng.hypergeometric(large, bad, small, size=alive))
-            alive -= int(met)
+        if stepped:
+            # Read the smaller quorum one replica at a time.  Before step j a
+            # trial still reading has read j of the others, so its next
+            # replica is uniform over the n - j unread ones, `large` of them
+            # in the larger quorum (a weak pair has bad >= small > j).  A
+            # trial leaves once it meets the larger quorum; those left after
+            # `small` steps are stale.
+            for j in range(small):
+                if alive == 0:
+                    break
+                alive -= int(np.count_nonzero(rng.integers(cfg.n - j, size=alive) < large))
+        else:
+            # One draw reads the whole smaller quorum; a trial that shares
+            # no replica with the larger one is stale.
+            alive -= int(np.count_nonzero(rng.hypergeometric(large, bad, small, size=alive)))
         stale += alive
     return stale / sim.trials
 
@@ -171,7 +170,8 @@ class LoopConfig:
     """One closed adaptation-loop experiment.
 
     ``relation`` (with ``constants``) defines how the application's
-    indicator chi is computed from phi.  The clusterer is trained in place
+    indicator chi is computed from phi; each constant must be a finite real
+    number and is kept as a ``float``.  The clusterer is trained in place
     on ``bootstrap_samples`` monitored pairs, then each target indicator
     value in ``targets`` is driven through lookup -> solve -> achieved-level
     evaluation against ``n`` replicas.
@@ -197,12 +197,13 @@ class LoopConfig:
         check_values(self.targets, "targets")
         object.__setattr__(self, "targets", tuple(as_finite(t, "target") for t in self.targets))
         check_type(self.constants, Mapping, "constants")
-        object.__setattr__(self, "constants", dict(self.constants))
+        constants = {k: as_finite(v, f"constant {shown(k)}") for k, v in self.constants.items()}
+        object.__setattr__(self, "constants", constants)
         check_type(self.options, SolveOptions, "options")
 
 
 @dataclass(frozen=True)
-class LoopTraceEntry:
+class LoopTraceEntry(_Row):
     """One loop round trip.
 
     ``phi_chosen`` is the raw looked-up level; ``r``/``w`` solve it to a
@@ -215,9 +216,6 @@ class LoopTraceEntry:
     r: int
     w: int
     chi_achieved: float
-
-    def __post_init__(self) -> None:
-        _plain_numbers(self)
 
 
 def _monitor(
@@ -274,4 +272,4 @@ def run_adaptation_loop(loop: LoopConfig) -> list[LoopTraceEntry]:
 
 def trace_to_csv(entries: Sequence[LoopTraceEntry]) -> str:
     """Serialize a loop trace as CSV."""
-    return _csv(LoopTraceEntry, entries)
+    return LoopTraceEntry._csv(entries)

@@ -29,9 +29,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .clustering import (
-    IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _csv, _plain_numbers,
-)
+from .clustering import IncrementalClusterer, SequentialClusterer, _OnlineClusterer, _Row
 # Sample is unused here but stays bound: perfbench/tracing.py wraps sweeps.Sample.
 from .clustering import Sample  # noqa: F401
 from .errors import (
@@ -139,22 +137,16 @@ def chi_range(relation: RelationSpec) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class SequentialRow:
+class SequentialRow(_Row):
     clusters: int
     rmse: float
-
-    def __post_init__(self) -> None:
-        _plain_numbers(self)
 
 
 @dataclass(frozen=True)
-class IncrementalRow:
+class IncrementalRow(_Row):
     threshold: float
     clusters: int
     rmse: float
-
-    def __post_init__(self) -> None:
-        _plain_numbers(self)
 
 
 # Each sweep algorithm's row type, whose fields are its CSV columns.
@@ -176,13 +168,19 @@ class RmseReport:
         if not isinstance(self.algorithm, str) or self.algorithm not in _ROW_TYPES:
             raise ConfigError(f"algorithm must be 'seq' or 'incr', got {shown(self.algorithm)}")
         kind = _ROW_TYPES[self.algorithm]
+        check_values(self.rows, "rows")
+        object.__setattr__(self, "rows", tuple(self.rows))
         for row in self.rows:
             if not isinstance(row, kind):
                 raise ConfigError(f"{self.algorithm} rows must be {kind.__name__}s, got {shown(row)}")
-            if row.rmse < 0.0:
+            if not row.rmse >= 0.0:
                 raise ConfigError(f"rmse must be >= 0, got {shown(row)}")
             if row.clusters < 1:
                 raise ConfigError(f"cluster count must be >= 1, got {shown(row)}")
+        check_type(self.relation, RelationSpec, "relation")
+        check_seed(self.seed)
+        check_count(self.bootstrap, "bootstrap")
+        check_count(self.tests, "tests")
 
     def to_csv(self) -> str:
         spec = self.relation
@@ -191,7 +189,7 @@ class RmseReport:
             f" bootstrap={self.bootstrap} tests={self.tests}"
             f" A={spec.a!r} B={spec.b!r} C={spec.c!r} D={spec.d!r}"
         )
-        return provenance + "\n" + _csv(_ROW_TYPES[self.algorithm], self.rows)
+        return provenance + "\n" + _ROW_TYPES[self.algorithm]._csv(self.rows)
 
 
 def _run_point(

@@ -307,6 +307,18 @@ class TestLoop:
         assert "error: target must be finite, got inf" in err
         assert not out_path.exists()
 
+    def test_non_finite_constant_fails_before_out(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run(
+            capsys,
+            "loop", "--expr", "A*phi", "--const", "A=inf", "--targets", "0.5",
+            "--n", "5", "--seed", "7", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: constant 'A' must be finite, got inf" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("targets", [" , ", "0.5,x"])
     def test_malformed_targets_are_usage_error(self, capsys, targets):
         code, out, err = run(

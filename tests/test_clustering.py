@@ -263,6 +263,25 @@ class TestSnapshot:
     def test_empty_is_header_only(self):
         assert SequentialClusterer(3).csv_snapshot() == "chi_centroid,phi_centroid,count\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("x", None, 1.5), "chi_centroid must be a real number, got 'x'"),
+            ((0.5, None, 1), "phi_centroid must be a real number, got None"),
+            ((0.5, 0.5, True), "count must be a real number, got True"),
+        ],
+        ids=["chi-str", "phi-none", "count-bool"],
+    )
+    def test_a_cluster_field_that_is_not_a_number_is_rejected(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            Cluster(*args)
+        assert str(info.value) == message
+
+    def test_a_cluster_holds_plain_numbers(self):
+        cluster = Cluster(np.float64(0.5), np.float32(0.25), np.int64(3))
+        assert [type(value) for value in vars(cluster).values()] == [float, float, int]
+        assert cluster == Cluster(0.5, 0.25, 3)
+
 
 @st.composite
 def sample_streams(draw):

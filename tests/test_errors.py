@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorumtune import (
+    Cluster,
     ConfigError,
     DomainError,
     EvaluationError,
@@ -271,8 +272,10 @@ def _relation_spec(draw):
 
 @st.composite
 def _report(draw):
+    relation = draw(_mostly(st.just(LINEAR), st.sampled_from(["linear", LONG]) | _WRONG))
     algorithm = draw(_mostly(st.sampled_from(["seq", "incr"]), st.just(["seq"]) | _WRONG))
-    return LINEAR, algorithm, 1, 10, 10, draw(_ROWS)
+    rows = draw(_mostly(_ROWS | _ROWS.map(list)))
+    return relation, algorithm, draw(_SEED), draw(_SIZE), draw(_SIZE), rows
 
 
 # A sweep has at most 3 points of at most 20 learns and 3 lookups each; a
@@ -367,6 +370,7 @@ _CALLS = {
     "SequentialRow": (SequentialRow, st.tuples(_FIELD, _FIELD)),
     "IncrementalRow": (IncrementalRow, st.tuples(_FIELD, _FIELD, _FIELD)),
     "LoopTraceEntry": (LoopTraceEntry, st.tuples(*[_FIELD] * 5)),
+    "Cluster": (Cluster, st.tuples(_FIELD, _FIELD, _FIELD)),
 }
 
 

@@ -391,19 +391,37 @@ class TestAdaptationLoop:
         phis = 1.0 - rng.random(500) * (1.0 - 1e-6)
         assert only.phi_centroid == pytest.approx(float(np.mean(phis)), rel=1e-12)
 
-    @pytest.mark.parametrize("bad", ["x", pytest.param(10**400, id="10**400")])
-    def test_non_number_constant_is_evaluation_error(self, bad):
-        loop = LoopConfig(
-            relation=parse("A*phi"),
-            clusterer=SequentialClusterer(5),
-            bootstrap_samples=10,
-            targets=[0.5],
-            seed=1,
-            n=5,
-            constants={"A": bad},
-        )
-        with pytest.raises(EvaluationError, match="'A'"):
-            run_adaptation_loop(loop)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.inf, "constant 'A' must be finite, got inf"),
+            (math.nan, "constant 'A' must be finite, got nan"),
+            (None, "constant 'A' must be a real number, got None"),
+            ("x", "constant 'A' must be a real number, got 'x'"),
+            (10**400, f"constant 'A' must be a real number, got {str(10**400)[:77]}..."),
+        ],
+        ids=["inf", "nan", "none", "str", "10**400"],
+    )
+    def test_a_constant_that_is_not_a_finite_number_is_rejected_when_built(self, bad, message):
+        # Checked by LoopConfig, as its targets are, not at the first sample.
+        with pytest.raises(ConfigError) as info:
+            LoopConfig(parse("A*phi"), SequentialClusterer(5), 10, [0.5], 1, 5, {"A": bad})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value, number",
+        [(np.int64(2), 2.0), (True, 1.0), ("2.5", 2.5)],
+        ids=["numpy-int", "bool", "str"],
+    )
+    def test_a_constant_is_taken_as_its_float(self, value, number):
+        def trace(a):
+            loop = LoopConfig(
+                parse("A*phi + B"), SequentialClusterer(5), 50, [0.5, 1.0], 1, 5, {"A": a, "B": 0}
+            )
+            assert [type(v) for v in loop.constants.values()] == [float, float]
+            return trace_to_csv(run_adaptation_loop(loop))
+
+        assert trace(value) == trace(number)
 
     def test_overflowing_relation_is_evaluation_error(self):
         # The overflow is named, before an inf chi reaches the clusterer.

@@ -218,6 +218,33 @@ class TestValidation:
             RmseReport(LINEAR, algorithm, 1, 10, 10, (row,))
 
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("x", "seq", 1, 10, 10, ()), "relation must be a RelationSpec, got 'x'"),
+            ((LINEAR, "seq", -1, 10, 10, ()), "seed must be an unsigned 64-bit integer, got -1"),
+            ((LINEAR, "seq", 1, 0, 10, ()), "bootstrap must be >= 1, got 0"),
+            ((LINEAR, "seq", 1, 10, 1.5, ()), "tests must be an integer, got 1.5"),
+            ((LINEAR, "seq", 1, 10, 10, None), "rows must be an Iterable, got None"),
+            (
+                (LINEAR, "seq", 1, 10, 10, (SequentialRow(5, math.nan),)),
+                "rmse must be >= 0, got SequentialRow(clusters=5, rmse=nan)",
+            ),
+        ],
+        ids=["relation", "seed", "bootstrap", "tests", "rows-none", "rmse-nan"],
+    )
+    def test_report_checks_every_field(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            RmseReport(*args)
+        assert str(info.value) == message
+
+    def test_report_keeps_its_rows_as_a_tuple(self):
+        rows = [SequentialRow(5, 0.1), SequentialRow(10, 0.05)]
+        report = RmseReport(LINEAR, "seq", 1, 10, 10, rows)
+        assert report.rows == tuple(rows)
+        assert RmseReport(LINEAR, "seq", 1, 10, 10, iter(rows)).to_csv() == report.to_csv()
+
+
 class TestContainersAndRows:
     @pytest.mark.parametrize(
         "sweep, name",
