@@ -122,11 +122,23 @@ class _Row:
 
 @dataclass(frozen=True)
 class Cluster(_Row):
-    """A read-only snapshot of one cluster: centroids plus sample count."""
+    """A read-only snapshot of one cluster: centroids plus sample count.
+
+    Raises:
+        ConfigError: for a non-finite ``chi_centroid``, a ``phi_centroid``
+            outside [0, 1] or a ``count`` that is not an ``int`` >= 1.
+    """
 
     chi_centroid: float
     phi_centroid: float
     count: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        as_finite(self.chi_centroid, "chi_centroid")
+        if not 0.0 <= self.phi_centroid <= 1.0:
+            raise ConfigError(f"phi_centroid must lie in [0, 1], got {shown(self.phi_centroid)}")
+        check_count(self.count, "count")
 
 
 class _OnlineClusterer:

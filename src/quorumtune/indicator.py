@@ -38,9 +38,10 @@ with ``repr``.  Anything else a hand-built tree holds, and each node that an
 error message would name, is passed to the function as a global, not as
 text.  So the generated source grows linearly in the expression's length,
 as do the time and memory to compile it.  The adaptation loop and the
-sweeps compile their relation once more with its constants written in as
-literals (``_with_constants``, cached), so each monitored sample reads and
-checks only ``phi``.
+sweeps bind their relation's constants (``_with_constants``): the program
+compiles once more, on first use, to a factory whose function reads each
+constant from a closure cell, so each monitored sample reads and checks
+only ``phi``.
 
 Nesting is bounded by :data:`MAX_DEPTH`: the parser rejects source with
 more nested parentheses than that, or whose tree is taller than that (a
@@ -53,7 +54,6 @@ input exhausts the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -127,9 +127,10 @@ class IndicatorProgram:
     """A parsed indicator expression: the original source plus its AST.
 
     The AST is compiled once, when the program is built, to the function
-    that :func:`evaluate` calls and the set of names it reads; neither takes
-    part in equality, hashing or ``repr``, and a pickled or copied program
-    compiles anew.
+    that :func:`evaluate` calls and the set of names it reads, and at most
+    once more, on the first :func:`_with_constants`, to the factory that
+    binds its constants.  None of these takes part in equality, hashing or
+    ``repr``, and a pickled or copied program compiles anew.
 
     Raises:
         IndicatorError: for an AST taller than :data:`MAX_DEPTH`, which only
@@ -140,10 +141,11 @@ class IndicatorProgram:
     ast: Expr
     _run: Callable[[Bindings], float] = field(init=False, repr=False, compare=False)
     _names: frozenset[str] = field(init=False, repr=False, compare=False)
+    _bind: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        run, names = _compile(self.ast, IndicatorError)
-        object.__setattr__(self, "_run", run)
+        make, names = _compile(self.ast, IndicatorError)
+        object.__setattr__(self, "_run", make())
         object.__setattr__(self, "_names", names)
 
     def __reduce__(self):
@@ -337,28 +339,25 @@ def _domain_error(node: Expr, detail: object) -> EvaluationError:
     return EvaluationError(f"domain error in {shown(_unparse(node))}: {detail}")
 
 
-# What generated code reads besides its argument, its locals and the builtins.
-_RUNTIME = {
-    "_isfinite": isfinite,
-    "_pow": math.pow,
-    "_log10": math.log10,
-    "_unbound": _unbound,
-    "_not_real": _not_real,
-    "_non_finite": _non_finite,
-    "_overflow": _overflow,
-    "_zero_division": _zero_division,
-    "_domain_error": _domain_error,
-}
+# What generated code reads besides its argument, its locals and the builtins,
+# each under its own ``__name__`` (``math.pow`` as ``pow``).
+_RUNTIME = {f.__name__: f for f in (
+    isfinite, math.pow, math.log10,
+    _unbound, _not_real, _non_finite, _overflow, _zero_division, _domain_error,
+)}
 
 
 def _compile(
-    ast: Expr, error: type[IndicatorError], constants: Mapping[str, float] | None = None
-) -> tuple[Callable[[Bindings], float], frozenset[str]]:
-    """One generated Python function that evaluates ``ast`` under bindings,
-    and the names of the variables it reads.
+    ast: Expr, error: type[IndicatorError], bound: tuple[str, ...] = ()
+) -> tuple[Callable[..., Callable[[Bindings], float]], frozenset[str]]:
+    """A generated factory ``_make(c0, c1, ...)``, one parameter per name in
+    ``bound``, whose result evaluates ``ast`` under bindings; and the names
+    of the variables it reads.
 
-    A variable named in ``constants``, whose values must be finite floats,
-    is written in as its value's literal and read from no binding.
+    The function the factory returns reads each name in ``bound`` from the
+    closure cell ``c<k>``, the factory's ``k``-th argument, with no check:
+    it is taken to be finite, so ``_with_constants`` binds finite floats
+    only.  It reads every other variable from the bindings.
 
     One walk does it all: it bounds the depth, raising ``error`` at the first
     node deeper than :data:`MAX_DEPTH` (so it never recurses past
@@ -366,20 +365,19 @@ def _compile(
     gives the variable a local.
 
     The body is straight-line code in post-order, left before right: each
-    variable is read into a local ``v<k>`` at its first use, each interior
-    node's value goes into a temporary ``t<k>``, and each node's checks come
-    just before its operation.  An operand that is a variable or a finite
-    literal is finite already, so its overflow test is left out.  A failed
-    check raises through one of the helpers above, which format the message
-    from the variable's name or from the node, passed in as a global
-    ``k<k>``.  Message text baked into the source would repeat each checked
-    node's subtree, so the source would grow as the tree's size times its
-    height.
+    variable not in ``bound`` is read into a local ``v<k>`` at its first use,
+    each interior node's value goes into a temporary ``t<k>``, and each
+    node's checks come just before its operation.  An operand that is a
+    variable or a finite literal is finite already, so its overflow test is
+    left out.  A failed check raises through one of the helpers above, which
+    format the message from the variable's name or from the node, passed in
+    as a global ``k<k>``.  Message text baked into the source would repeat
+    each checked node's subtree, so the source would grow as the tree's size
+    times its height.
     """
     lines: list[str] = []
     namespace = dict(_RUNTIME)
-    local_of: dict[object, str] = {}
-    constants = constants or {}
+    local_of: dict[object, str] = {name: f"c{k}" for k, name in enumerate(bound)}
 
     def global_(value: object) -> str:
         name = f"k{len(namespace)}"
@@ -399,7 +397,7 @@ def _compile(
         return name
 
     def check_finite(node: Expr, operand: str) -> None:
-        lines.append(f"if not _isfinite({operand}): raise _overflow({global_(node)}, {operand})")
+        lines.append(f"if not isfinite({operand}): raise _overflow({global_(node)}, {operand})")
 
     def visit(node: Expr, depth: int) -> tuple[str, bool]:
         """The operand that holds ``node``'s value once the lines so far
@@ -424,7 +422,7 @@ def _compile(
             if not right_finite:
                 check_finite(node.right, right)
             result = f"t{len(lines)}"
-            lines.append(f"try: {result} = _pow({left}, {right})")
+            lines.append(f"try: {result} = pow({left}, {right})")
             lines.append(
                 "except (ValueError, OverflowError) as e: "
                 f"raise _domain_error({global_(node)}, e) from None"
@@ -432,8 +430,6 @@ def _compile(
             return result, False
         if isinstance(node, Var):
             name = node.name
-            if name in constants:
-                return literal(constants[name]), True
             local = local_of.get(name)
             if local is None:
                 local = local_of[name] = f"v{len(local_of)}"
@@ -443,7 +439,7 @@ def _compile(
                     f"try: {local} = float(bindings[{key}])",
                     "except (TypeError, ValueError, OverflowError): "
                     f"raise _not_real({key}, bindings[{key}]) from None",
-                    f"if not _isfinite({local}): raise _non_finite({key}, {local})",
+                    f"if not isfinite({local}): raise _non_finite({key}, {local})",
                 ])
             return local, True
         if isinstance(node, Num):
@@ -459,17 +455,19 @@ def _compile(
                 f"if {arg} <= 0.0: raise _domain_error({global_(node)}, "
                 f"'log10 argument ' + repr({arg}) + ' is not positive')"
             )
-            return temp(f"_log10({arg})"), False
+            return temp(f"log10({arg})"), False
         return temp(f"abs({arg})"), False
 
     result, finite = visit(ast, 1)
     if not finite:
         check_finite(ast, result)
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def _indicator(bindings):\n{body}    return {result}\n", namespace)
-    # Popped, so the function and its globals form no cycle: a dropped
+    cells = ", ".join(local_of[name] for name in bound)
+    head = f"def _make({cells}):\n    def _indicator(bindings):\n"
+    body = "".join(f"        {line}\n" for line in lines)
+    exec(f"{head}{body}        return {result}\n    return _indicator\n", namespace)
+    # Popped, so the factory and its globals form no cycle: a dropped
     # program is freed at once, not at the next full collection.
-    return namespace.pop("_indicator"), frozenset(local_of)
+    return namespace.pop("_make"), frozenset(local_of)
 
 
 def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
@@ -493,39 +491,33 @@ def evaluate(program: IndicatorProgram | Expr, bindings: Bindings) -> float:
     """
     if isinstance(program, IndicatorProgram):
         return program._run(bindings)  # the hot path: compiled when built
-    return _compile(program, EvaluationError)[0](bindings)
+    return _compile(program, EvaluationError)[0]()(bindings)
 
 
 def _with_constants(program: IndicatorProgram, constants: Bindings) -> IndicatorProgram:
-    """``program`` compiled once more for a caller that evaluates it many
-    times under ``constants`` with only ``phi`` rebound between calls.
+    """``program`` with its constants bound, for a caller that evaluates it
+    many times under ``constants`` with only ``phi`` rebound between calls.
 
-    Each value in ``constants`` must be a finite ``float``, as
-    ``LoopConfig`` and ``RelationSpec`` make them.  Each constant the
-    program reads, other than ``phi``, is written in as a literal; every
-    other variable stays a read of the bindings.  So :func:`evaluate` of
-    the result under ``constants`` (``phi`` included) returns the same bits
-    as that of ``program``, or raises the same error at the same node.
-    ``program`` itself comes back when nothing is written in.
+    Binding is all or nothing.  When ``constants`` holds every name the
+    program reads other than ``phi``, the result runs the program's bound
+    factory (compiled on the first call and kept on the program) on those
+    values, so its function reads each from a closure cell and only ``phi``
+    from the bindings.  Each bound value must be a finite ``float``, as
+    ``LoopConfig`` and ``RelationSpec`` make them; a cell holds the float
+    itself, so ``-0.0`` keeps its sign.  :func:`evaluate` of the result
+    under ``constants`` (``phi`` included) returns the same bits as that of
+    ``program``, or raises the same error at the same node.  ``program``
+    itself comes back when it reads no name but ``phi``, or when
+    ``constants`` misses one.
     """
-    # One order of names per program: the cache key's order.
-    bound = [name for name in program._names if name != "phi" and name in constants]
-    literals = tuple((name, repr(constants[name])) for name in bound)
-    return _folded(program, id(program), literals) if literals else program
-
-
-# Each constant is keyed on its literal text, never on its float: 0.0 and
-# -0.0 compare equal but write different bits.  The id keeps apart programs
-# that compare equal over different trees (a hand-built Num(0.0) equals
-# Num(-0.0)); the key holds the program, so its id is not reused while cached.
-@functools.lru_cache(maxsize=128)
-def _folded(
-    program: IndicatorProgram, identity: int, literals: tuple[tuple[str, str], ...]
-) -> IndicatorProgram:
-    run, _ = _compile(program.ast, IndicatorError, {name: float(text) for name, text in literals})
-    folded = object.__new__(IndicatorProgram)
-    vars(folded).update(vars(program), _run=run)
-    return folded
+    bound = tuple(sorted(program._names - {"phi"}))
+    if not bound or any(name not in constants for name in bound):
+        return program
+    if program._bind is None:
+        object.__setattr__(program, "_bind", _compile(program.ast, IndicatorError, bound)[0])
+    result = object.__new__(IndicatorProgram)
+    vars(result).update(vars(program), _run=program._bind(*map(constants.__getitem__, bound)))
+    return result
 
 
 def unparse(node: Expr | IndicatorProgram) -> str:

@@ -230,8 +230,8 @@ def _monitor(
 
     ``bindings`` holds the relation's constants; its ``phi`` entry is
     reassigned per draw.  Its callers, the loop and the sweeps, pass the
-    relation with its constants written in (``indicator._with_constants``),
-    so each draw reads and checks only ``phi``.
+    relation with its constants bound (``indicator._with_constants``), so
+    each draw reads and checks only ``phi``.
     Memory stays O(``_LEVELS_PER_DRAW``) whatever ``count`` is.
     """
     for start in range(0, count, _LEVELS_PER_DRAW):

@@ -177,6 +177,8 @@ class RmseReport:
                 raise ConfigError(f"rmse must be >= 0, got {shown(row)}")
             if row.clusters < 1:
                 raise ConfigError(f"cluster count must be >= 1, got {shown(row)}")
+            if kind is IncrementalRow and not 0.0 < row.threshold < math.inf:
+                raise ConfigError(f"threshold must be finite and > 0, got {shown(row)}")
         check_type(self.relation, RelationSpec, "relation")
         check_seed(self.seed)
         check_count(self.bootstrap, "bootstrap")
@@ -200,7 +202,7 @@ def _run_point(
     tests: int,
 ) -> float:
     # The bindings of relation.chi, built once, with the constants also
-    # written into the program; only phi changes.
+    # bound into the program; only phi changes.
     bindings = relation.constants
     program = _with_constants(relation.program, bindings)
     _monitor(program, bindings, clusterer, rng, bootstrap)

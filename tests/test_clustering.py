@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import time
@@ -273,6 +274,22 @@ class TestSnapshot:
         ids=["chi-str", "phi-none", "count-bool"],
     )
     def test_a_cluster_field_that_is_not_a_number_is_rejected(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            Cluster(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, 0.5, 1), "chi_centroid must be finite, got inf"),
+            ((0.5, 2.0, 1.5), "phi_centroid must lie in [0, 1], got 2.0"),
+            ((0.5, math.nan, 1), "phi_centroid must lie in [0, 1], got nan"),
+            ((0.5, 0.5, -3), "count must be >= 1, got -3"),
+            ((0.5, 0.5, 1.5), "count must be an integer, got 1.5"),
+        ],
+        ids=["chi-inf", "phi-above-1", "phi-nan", "count-negative", "count-fraction"],
+    )
+    def test_a_cluster_out_of_range_is_rejected(self, args, message):
         with pytest.raises(ConfigError) as info:
             Cluster(*args)
         assert str(info.value) == message

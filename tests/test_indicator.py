@@ -476,11 +476,21 @@ class TestConstantsWrittenIn:
         folded = indicator._with_constants(program, {"phi": 1.0, "A": 2.0})
         assert evaluate(folded, {"phi": 5.0, "A": 2.0}) == 7.0
 
+    def test_one_compile_per_program(self):
+        program = parse("A*phi + B")
+        one = indicator._with_constants(program, {"A": 1.0, "B": 0.0})
+        two = indicator._with_constants(program, {"A": 2.0, "B": 0.0})
+        assert one._run.__code__ is two._run.__code__
+        assert evaluate(two, {"phi": 0.5}) == 1.0  # A and B come from the cells
+        assert indicator._with_constants(program, {"A": 1.0}) is program
+        restored = pickle.loads(pickle.dumps(two))
+        assert restored == program and restored._bind is None
+        assert evaluate(restored, {"A": 3.0, "B": 0.0, "phi": 0.5}) == 1.5
+
     def test_the_folded_programs_are_bounded_in_memory(self):
-        # Each distinct constant set compiles once and the cache keeps only
-        # the most recent ones, so 10,000 sets hold as much as a hundred.
-        # The smallest program keeps the 10,000 traced compiles quick; each
-        # cached one holds about 2 KB.
+        # The program's bound factory compiles once, on the first set; each
+        # later set only makes a closure, which the next one replaces, so
+        # 10,000 sets hold as much as one.
         program = parse("A")
         bindings = {}
         tracemalloc.start()

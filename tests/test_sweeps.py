@@ -230,8 +230,23 @@ class TestValidation:
                 (LINEAR, "seq", 1, 10, 10, (SequentialRow(5, math.nan),)),
                 "rmse must be >= 0, got SequentialRow(clusters=5, rmse=nan)",
             ),
+            (
+                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(math.nan, 5, 0.1),)),
+                "threshold must be finite and > 0, got IncrementalRow(threshold=nan, clusters=5, rmse=0.1)",
+            ),
+            (
+                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(-1.0, 5, 0.1),)),
+                "threshold must be finite and > 0, got IncrementalRow(threshold=-1.0, clusters=5, rmse=0.1)",
+            ),
+            (
+                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(math.inf, 5, 0.1),)),
+                "threshold must be finite and > 0, got IncrementalRow(threshold=inf, clusters=5, rmse=0.1)",
+            ),
         ],
-        ids=["relation", "seed", "bootstrap", "tests", "rows-none", "rmse-nan"],
+        ids=[
+            "relation", "seed", "bootstrap", "tests", "rows-none", "rmse-nan",
+            "threshold-nan", "threshold-negative", "threshold-inf",
+        ],
     )
     def test_report_checks_every_field(self, args, message):
         with pytest.raises(ConfigError) as info:
