@@ -41,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 from .errors import (
-    ConfigError, DomainError, UnlearnedError, as_finite, as_number, as_real, check_count, shown,
+    ConfigError, DomainError, UnlearnedError, as_finite, as_real, check_count, shown,
 )
 from .quorum import ConsistencyLevel
 
@@ -71,13 +71,7 @@ class Sample:
 
     def __init__(self, chi: float, phi: float) -> None:
         if type(chi) is not float or type(phi) is not float:
-            try:
-                chi, phi = float(chi), float(phi)
-            except (TypeError, ValueError, OverflowError):
-                raise DomainError(
-                    "sample values must be real numbers, "
-                    f"got Sample(chi={shown(chi)}, phi={shown(phi)})"
-                ) from None
+            chi, phi = as_real(chi, "sample chi"), as_real(phi, "sample phi")
         if not (-_INF < chi < _INF and 0.0 <= phi <= 1.0):
             if not math.isfinite(chi):
                 raise DomainError(f"sample chi must be finite, got {chi!r}")
@@ -99,16 +93,23 @@ _set_phi = Sample.phi.__set__
 class _Row:
     """A frozen CSV row type: its field names are its CSV header, in order.
 
-    Each field is made a plain ``int`` or ``float`` when the row is built
-    (:func:`~quorumtune.errors.as_number`), so :meth:`_csv` writes a number
-    and never a numpy ``repr`` or a string.  The field names are the CSV
-    contract: renaming a field renames its column in every file written
+    Each field is checked by its declared type when the row is built: an
+    ``int`` field is a count, an ``int`` >= 1
+    (:func:`~quorumtune.errors.check_count`), and any other field, each
+    annotated ``float``, is made a finite ``float``
+    (:func:`~quorumtune.errors.as_finite`).  So :meth:`_csv` writes a number
+    and never a numpy ``repr``, a string or a nan.  The field names are the
+    CSV contract: renaming a field renames its column in every file written
     through here.
     """
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            object.__setattr__(self, f.name, as_number(getattr(self, f.name), f.name))
+            # The annotations are strings (``from __future__ import annotations``).
+            if f.type == "int":
+                check_count(getattr(self, f.name), f.name)
+            else:
+                object.__setattr__(self, f.name, as_finite(getattr(self, f.name), f.name))
 
     @classmethod
     def _csv(cls, rows) -> str:
@@ -125,8 +126,9 @@ class Cluster(_Row):
     """A read-only snapshot of one cluster: centroids plus sample count.
 
     Raises:
-        ConfigError: for a non-finite ``chi_centroid``, a ``phi_centroid``
-            outside [0, 1] or a ``count`` that is not an ``int`` >= 1.
+        ConfigError: for a centroid that is not a finite real number or a
+            ``count`` that is not an ``int`` >= 1 (the row's own checks),
+            and for a ``phi_centroid`` outside [0, 1].
     """
 
     chi_centroid: float
@@ -135,10 +137,8 @@ class Cluster(_Row):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        as_finite(self.chi_centroid, "chi_centroid")
         if not 0.0 <= self.phi_centroid <= 1.0:
-            raise ConfigError(f"phi_centroid must lie in [0, 1], got {shown(self.phi_centroid)}")
-        check_count(self.count, "count")
+            raise ConfigError(f"phi_centroid must lie in [0, 1], got {self.phi_centroid!r}")
 
 
 class _OnlineClusterer:
@@ -286,13 +286,13 @@ class SequentialClusterer(_OnlineClusterer):
 class IncrementalClusterer(_OnlineClusterer):
     """Threshold-driven streaming k-means over (chi, phi) samples.
 
-    ``threshold`` is the relative-error admission bound tau: the nearest
-    cluster absorbs a sample only when
+    ``threshold`` is the relative-error admission bound tau, a finite real
+    number > 0: the nearest cluster absorbs a sample only when
     ``|chi_centroid - chi| / max(|chi_centroid|, REL_ERR_FLOOR) < tau``.
     """
 
     def __init__(self, threshold: float):
-        threshold = as_real(threshold, "threshold")
+        threshold = as_finite(threshold, "threshold")
         if not threshold > 0.0:
             raise ConfigError(f"threshold must be > 0, got {threshold!r}")
         super().__init__()

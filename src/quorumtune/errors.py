@@ -4,18 +4,20 @@ Every violated precondition raises a subclass of :class:`DomainError`, so
 callers (notably the CLI) can distinguish domain problems from genuine bugs
 with a single ``except`` clause.  The input checks shared by the other
 modules (:func:`check_type`, :func:`check_values`, :func:`check_count`,
-:func:`check_seed`, :func:`as_real`, :func:`as_finite`, :func:`as_number`)
-live here too, so each rule and its message are written once.  Every
-rejection by a constructor, a solve or the parser that prints the rejected
-value, here or in another module, formats it with :func:`shown`, so its
-message stays short whatever the input.
+:func:`check_seed`, :func:`as_real`, :func:`as_finite`) live here too, so
+each rule and its message are written once.  There is one rule per kind of
+number: an integer is an ``int`` that is not a ``bool`` (:func:`check_count`,
+:func:`check_seed`), and a real is a :class:`numbers.Real` that is not a
+``bool``, kept as a ``float`` (:func:`as_real`); a ``str``, a ``Decimal`` or
+a numpy array is neither.  Every rejection by a constructor, a solve or the
+parser that prints the rejected value, here or in another module, formats it
+with :func:`shown`, so its message stays short whatever the input.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Iterable
 
 __all__ = [
@@ -114,25 +116,21 @@ def check_seed(seed: int) -> None:
 
 
 def as_real(value: float, name: str) -> float:
-    """``float(value)``, or a :class:`ConfigError` naming ``name`` when the
-    value is not a number or is out of the float range (e.g. ``10**400``)."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a real number, got {shown(value)}") from None
-
-
-def as_number(value: object, name: str) -> int | float:
-    """``value`` as a plain ``int`` or ``float``: an integer (numpy's
-    included) through ``operator.index``, any other real number through
-    :func:`as_real`; a :class:`ConfigError` naming ``name`` for anything
-    else, a ``bool`` or a ``str`` included.  The type alone is checked, not
-    the range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {shown(value)}")
-    if isinstance(value, numbers.Integral):
-        return operator.index(value)
-    return as_real(value, name)
+    """``value`` as a ``float`` when it is a :class:`numbers.Real` other than
+    a ``bool`` (numpy's scalars and ``Fraction`` included); a
+    :class:`ConfigError` naming ``name`` for anything else, a ``str``, a
+    ``Decimal``, a numpy array or a real out of the float range (e.g.
+    ``10**400``) included."""
+    # Plain floats and ints skip the numbers.Real ABC check, several times
+    # slower than a type test: every lookup target and level comes here.
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a real number, got {shown(value)}")
 
 
 def as_finite(value: float, name: str) -> float:

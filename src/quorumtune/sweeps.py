@@ -173,11 +173,10 @@ class RmseReport:
         for row in self.rows:
             if not isinstance(row, kind):
                 raise ConfigError(f"{self.algorithm} rows must be {kind.__name__}s, got {shown(row)}")
-            if not row.rmse >= 0.0:
+            # A row's own type checks leave only these ranges to check.
+            if row.rmse < 0.0:
                 raise ConfigError(f"rmse must be >= 0, got {shown(row)}")
-            if row.clusters < 1:
-                raise ConfigError(f"cluster count must be >= 1, got {shown(row)}")
-            if kind is IncrementalRow and not 0.0 < row.threshold < math.inf:
+            if kind is IncrementalRow and row.threshold <= 0.0:
                 raise ConfigError(f"threshold must be finite and > 0, got {shown(row)}")
         check_type(self.relation, RelationSpec, "relation")
         check_seed(self.seed)

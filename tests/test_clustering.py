@@ -269,33 +269,34 @@ class TestSnapshot:
         [
             (("x", None, 1.5), "chi_centroid must be a real number, got 'x'"),
             ((0.5, None, 1), "phi_centroid must be a real number, got None"),
-            ((0.5, 0.5, True), "count must be a real number, got True"),
+            ((0.5, 0.5, True), "count must be an integer, got True"),
+            ((math.inf, 0.5, 1), "chi_centroid must be finite, got inf"),
+            ((0.5, math.nan, 1), "phi_centroid must be finite, got nan"),
+            ((0.5, 0.5, -3), "count must be >= 1, got -3"),
+            ((0.5, 0.5, 0), "count must be >= 1, got 0"),
+            ((0.5, 0.5, 1.5), "count must be an integer, got 1.5"),
+            ((0.5, 0.5, np.int64(3)), f"count must be an integer, got {np.int64(3)!r}"),
         ],
-        ids=["chi-str", "phi-none", "count-bool"],
+        ids=[
+            "chi-str", "phi-none", "count-bool", "chi-inf", "phi-nan", "count-negative",
+            "count-zero", "count-fraction", "count-numpy-int",
+        ],
     )
     def test_a_cluster_field_that_is_not_a_number_is_rejected(self, args, message):
+        # Each field is checked by its declared type: the centroids are
+        # finite reals, the count an int >= 1.
         with pytest.raises(ConfigError) as info:
             Cluster(*args)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            ((math.inf, 0.5, 1), "chi_centroid must be finite, got inf"),
-            ((0.5, 2.0, 1.5), "phi_centroid must lie in [0, 1], got 2.0"),
-            ((0.5, math.nan, 1), "phi_centroid must lie in [0, 1], got nan"),
-            ((0.5, 0.5, -3), "count must be >= 1, got -3"),
-            ((0.5, 0.5, 1.5), "count must be an integer, got 1.5"),
-        ],
-        ids=["chi-inf", "phi-above-1", "phi-nan", "count-negative", "count-fraction"],
-    )
-    def test_a_cluster_out_of_range_is_rejected(self, args, message):
+    @pytest.mark.parametrize("phi", [2.0, -0.5], ids=["phi-above-1", "phi-below-0"])
+    def test_a_cluster_out_of_range_is_rejected(self, phi):
         with pytest.raises(ConfigError) as info:
-            Cluster(*args)
-        assert str(info.value) == message
+            Cluster(0.5, phi, 1)
+        assert str(info.value) == f"phi_centroid must lie in [0, 1], got {phi!r}"
 
     def test_a_cluster_holds_plain_numbers(self):
-        cluster = Cluster(np.float64(0.5), np.float32(0.25), np.int64(3))
+        cluster = Cluster(np.float64(0.5), np.float32(0.25), 3)
         assert [type(value) for value in vars(cluster).values()] == [float, float, int]
         assert cluster == Cluster(0.5, 0.25, 3)
 

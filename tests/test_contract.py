@@ -192,7 +192,7 @@ def _rejections():
     yield _rejection(RmseReport, spec, "seq", 1, 1000, 100, (IncrementalRow(0.1, 3, 0.2),))
     yield _rejection(RmseReport, spec, "incr", 1, 1000, 100, (SequentialRow(5, 0.2),))
     yield _rejection(RmseReport, spec, "seq", 1, 1000, 100, (SequentialRow(5, -1.0),))
-    yield _rejection(RmseReport, spec, "seq", 1, 1000, 100, (SequentialRow(0, 1.0),))
+    yield _rejection(SequentialRow, 0, 1.0)
     yield _rejection(evaluate_sequential, spec, [2000])
     yield _rejection(parse, 5)
     yield _rejection(parse, "log(phi) + exp(phi)")
@@ -230,7 +230,7 @@ _GROUPS = {
     ),
     "rejections": (
         _rejections,
-        "ca7e7128eaec80433ed850d03ffbb097b62bf12e1b9a86e1b82fdc4fdab9475a",
+        "05621e281df73b93e489caedd4e3d0fc5cb01414ea147fd50ec777a2a24289bf",
     ),
 }
 

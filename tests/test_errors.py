@@ -2,7 +2,10 @@
 contract: every public constructor and call either returns or raises a
 :class:`DomainError` whose message stays short, whatever it is given."""
 
+import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from quorumtune import (
     Cluster,
     ConfigError,
+    ConsistencyLevel,
     DomainError,
     EvaluationError,
     IncrementalClusterer,
@@ -24,6 +28,7 @@ from quorumtune import (
     RelationFamily,
     RelationSpec,
     RmseReport,
+    Sample,
     SequentialClusterer,
     SequentialRow,
     SimConfig,
@@ -184,6 +189,62 @@ def test_a_container_is_checked_by_the_type_rule(call, args, message):
     assert str(info.value) == message
 
 
+def _learned():
+    clusterer = SequentialClusterer(1)
+    clusterer.learn(Sample(0.0, 0.5))
+    return clusterer
+
+
+def _loop(targets=(0.5,), constants=None):
+    constants = {"A": 1.0} if constants is None else constants
+    return LoopConfig(parse("A*phi"), SequentialClusterer(5), 10, targets, 1, 5, constants)
+
+
+@pytest.mark.parametrize(
+    "value, taken",
+    [
+        ("0.5", None), (True, None), (Decimal("0.5"), None), (np.array(0.5), None),
+        (HUGE, None), (np.float32(0.5), 0.5), (Fraction(1, 2), 0.5), (np.int64(1), 1.0),
+    ],
+    ids=["str", "bool", "Decimal", "array", "huge-int", "float32", "Fraction", "int64"],
+)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda v: solve_quorum(v, 5), "phi_target", id="solve_quorum"),
+        pytest.param(ConsistencyLevel, "consistency level", id="ConsistencyLevel"),
+        pytest.param(
+            lambda v: IncrementalClusterer(v).threshold, "threshold", id="IncrementalClusterer"
+        ),
+        pytest.param(lambda v: Sample(v, 0.5), "sample chi", id="Sample-chi"),
+        pytest.param(lambda v: Sample(0.0, v), "sample phi", id="Sample-phi"),
+        pytest.param(lambda v: _learned().lookup(v), "chi_target", id="lookup"),
+        pytest.param(lambda v: RelationSpec(RelationFamily.LINEAR, a=v), "constant A", id="RelationSpec"),
+        pytest.param(lambda v: _loop(targets=(v,)).targets, "target", id="LoopConfig-target"),
+        pytest.param(
+            lambda v: _loop(constants={"A": v}).constants, "constant 'A'", id="LoopConfig-constant"
+        ),
+        pytest.param(lambda v: SequentialRow(5, v), "rmse", id="row-float"),
+    ],
+)
+def test_one_rule_for_every_real_number(call, name, value, taken):
+    # A real is a numbers.Real other than a bool, kept as a float; anything
+    # else is rejected in a message that names the field.
+    if taken is None:
+        with pytest.raises(ConfigError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be a real number, got {shown(value)}"
+    else:
+        assert repr(call(value)) == repr(call(taken))
+
+
+@pytest.mark.parametrize("row", [Cluster, SequentialRow, IncrementalRow, LoopTraceEntry])
+def test_every_row_field_is_declared_int_or_float(row):
+    # A row checks each field by its declared type, so each must declare one
+    # of the two.
+    assert {field.type for field in dataclasses.fields(row)} <= {"int", "float"}
+
+
 def test_a_long_evaluation_error_keeps_its_ellipsis():
     with pytest.raises(EvaluationError) as info:
         evaluate(parse(LONG + "/0"), {LONG: 1.0})
@@ -222,10 +283,14 @@ _CLUSTERER = _mostly(
     st.builds(SequentialClusterer, st.integers(1, 5)) | st.just(IncrementalClusterer(0.1)),
     st.sampled_from([LONG, HUGE]) | _WRONG,
 )
-_ROW_FIELD = st.sampled_from([0, 1, 5, -1.0, 0.5, math.nan, HUGE, -HUGE])
+# Row fields that each row accepts, so the draw cannot raise: a count of
+# any size, and a real the report may still reject (a negative rmse or
+# threshold).  The row constructors get wrong values through _CALLS.
+_COUNT_FIELD = st.sampled_from([1, 5, HUGE])
+_REAL_FIELD = st.sampled_from([0, 5, -1.0, 0.0, 0.5, 1e308])
 _ROWS = st.lists(
-    st.builds(SequentialRow, _ROW_FIELD, _ROW_FIELD)
-    | st.builds(IncrementalRow, _ROW_FIELD, _ROW_FIELD, _ROW_FIELD),
+    st.builds(SequentialRow, _COUNT_FIELD, _REAL_FIELD)
+    | st.builds(IncrementalRow, _REAL_FIELD, _COUNT_FIELD, _REAL_FIELD),
     max_size=3,
 ).map(tuple)
 

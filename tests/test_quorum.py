@@ -66,18 +66,6 @@ class TestConsistencyLevelType:
             ConsistencyLevel(10**400)
 
 
-@pytest.mark.parametrize(
-    "call,name",
-    [
-        pytest.param(lambda: ConsistencyLevel(10**5000), "consistency level", id="level"),
-        pytest.param(lambda: solve_quorum(10**5000, 5), "phi_target", id="solve"),
-    ],
-)
-def test_rejects_int_too_long_to_print(call, name):
-    with pytest.raises(DomainError, match=name):
-        call()
-
-
 class TestStalenessProbability:
     def test_golden_examples(self):
         assert staleness_probability(QuorumConfig(2, 3, 5)) == 0.1

@@ -398,9 +398,11 @@ class TestAdaptationLoop:
             (math.nan, "constant 'A' must be finite, got nan"),
             (None, "constant 'A' must be a real number, got None"),
             ("x", "constant 'A' must be a real number, got 'x'"),
+            ("2.5", "constant 'A' must be a real number, got '2.5'"),
+            (True, "constant 'A' must be a real number, got True"),
             (10**400, f"constant 'A' must be a real number, got {str(10**400)[:77]}..."),
         ],
-        ids=["inf", "nan", "none", "str", "10**400"],
+        ids=["inf", "nan", "none", "str", "str-number", "bool", "10**400"],
     )
     def test_a_constant_that_is_not_a_finite_number_is_rejected_when_built(self, bad, message):
         # Checked by LoopConfig, as its targets are, not at the first sample.
@@ -410,8 +412,8 @@ class TestAdaptationLoop:
 
     @pytest.mark.parametrize(
         "value, number",
-        [(np.int64(2), 2.0), (True, 1.0), ("2.5", 2.5)],
-        ids=["numpy-int", "bool", "str"],
+        [(np.int64(2), 2.0), (np.float32(2.5), 2.5)],
+        ids=["numpy-int", "numpy-float"],
     )
     def test_a_constant_is_taken_as_its_float(self, value, number):
         def trace(a):
@@ -531,22 +533,25 @@ class TestContainersAndRows:
         assert str(info.value) == f"targets must be a collection of numbers, got {targets!r}"
 
     def test_numpy_scalars_become_plain_numbers(self):
-        entry = LoopTraceEntry(
-            np.float64(0.5), np.float64(0.9), np.int64(2), np.int64(3), np.float32(0.5)
-        )
+        entry = LoopTraceEntry(np.float64(0.5), np.float64(0.9), 2, 3, np.float32(0.5))
         assert trace_to_csv([entry]).split("\n")[1] == "0.5,0.9,2,3,0.5"
         assert [type(value) for value in vars(entry).values()] == [float, float, int, int, float]
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, rule",
         [
-            ("chi_achieved", "x"), ("r", None), ("w", True), ("phi_chosen", "0.5"),
-            ("chi_target", [1.0]),
+            ("chi_achieved", "x", "a real number"), ("r", None, "an integer"),
+            ("w", True, "an integer"), ("phi_chosen", "0.5", "a real number"),
+            ("chi_target", [1.0], "a real number"), ("r", np.int64(5), "an integer"),
+            ("w", 2.5, "an integer"), ("r", 0, ">= 1"),
+            ("chi_achieved", math.nan, "finite"), ("chi_target", -math.inf, "finite"),
         ],
     )
-    def test_a_field_that_is_not_a_number_is_rejected(self, field, value):
+    def test_a_field_that_is_not_a_number_is_rejected(self, field, value, rule):
+        # Each field is checked by its declared type: r and w are counts, the
+        # rest finite reals.
         fields = dict(chi_target=0.5, phi_chosen=0.9, r=2, w=3, chi_achieved=0.5)
         fields[field] = value
         with pytest.raises(ConfigError) as info:
             LoopTraceEntry(**fields)
-        assert str(info.value) == f"{field} must be a real number, got {value!r}"
+        assert str(info.value) == f"{field} must be {rule}, got {value!r}"

@@ -20,6 +20,7 @@ from quorumtune import (
     evaluate_sequential,
     parse,
 )
+from quorumtune import sweeps
 
 LINEAR = RelationSpec(RelationFamily.LINEAR)
 
@@ -173,6 +174,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="threshold must be a real number, got 'x'"):
             evaluate_incremental(LINEAR, [0.1, "x"], seed=1)
 
+    def test_an_infinite_threshold_is_rejected_before_any_point_runs(self, monkeypatch):
+        def run_point(*args):
+            raise AssertionError("a sweep point ran before every value was checked")
+
+        monkeypatch.setattr(sweeps, "_run_point", run_point)
+        with pytest.raises(ConfigError) as info:
+            evaluate_incremental(LINEAR, [0.01, math.inf])
+        assert str(info.value) == "threshold must be finite, got inf"
+
     @pytest.mark.parametrize(
         "spec,tests",
         [
@@ -227,25 +237,21 @@ class TestValidation:
             ((LINEAR, "seq", 1, 10, 1.5, ()), "tests must be an integer, got 1.5"),
             ((LINEAR, "seq", 1, 10, 10, None), "rows must be an Iterable, got None"),
             (
-                (LINEAR, "seq", 1, 10, 10, (SequentialRow(5, math.nan),)),
-                "rmse must be >= 0, got SequentialRow(clusters=5, rmse=nan)",
+                (LINEAR, "seq", 1, 10, 10, (SequentialRow(5, -1.0),)),
+                "rmse must be >= 0, got SequentialRow(clusters=5, rmse=-1.0)",
             ),
             (
-                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(math.nan, 5, 0.1),)),
-                "threshold must be finite and > 0, got IncrementalRow(threshold=nan, clusters=5, rmse=0.1)",
+                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(0.0, 5, 0.1),)),
+                "threshold must be finite and > 0, got IncrementalRow(threshold=0.0, clusters=5, rmse=0.1)",
             ),
             (
                 (LINEAR, "incr", 1, 10, 10, (IncrementalRow(-1.0, 5, 0.1),)),
                 "threshold must be finite and > 0, got IncrementalRow(threshold=-1.0, clusters=5, rmse=0.1)",
             ),
-            (
-                (LINEAR, "incr", 1, 10, 10, (IncrementalRow(math.inf, 5, 0.1),)),
-                "threshold must be finite and > 0, got IncrementalRow(threshold=inf, clusters=5, rmse=0.1)",
-            ),
         ],
         ids=[
-            "relation", "seed", "bootstrap", "tests", "rows-none", "rmse-nan",
-            "threshold-nan", "threshold-negative", "threshold-inf",
+            "relation", "seed", "bootstrap", "tests", "rows-none", "rmse-negative",
+            "threshold-zero", "threshold-negative",
         ],
     )
     def test_report_checks_every_field(self, args, message):
@@ -272,8 +278,8 @@ class TestContainersAndRows:
         assert str(info.value) == f"{name} must be a collection of numbers, got {values!r}"
 
     def test_numpy_scalars_become_plain_numbers(self):
-        seq = SequentialRow(np.int64(5), np.float64(0.1))
-        incr = IncrementalRow(np.float64(0.01), np.int32(7), np.float32(0.25))
+        seq = SequentialRow(5, np.float64(0.1))
+        incr = IncrementalRow(np.float64(0.01), 7, np.float32(0.25))
         report = RmseReport(LINEAR, "seq", 1, 10, 10, (seq,))
         assert report.to_csv().split("\n")[2] == "5,0.1"
         assert (type(seq.clusters), type(seq.rmse)) == (int, float)
@@ -281,30 +287,29 @@ class TestContainersAndRows:
         assert [type(value) for value in vars(incr).values()] == [float, int, float]
 
     @pytest.mark.parametrize(
-        "row, field, value",
+        "row, field, value, rule",
         [
-            (SequentialRow, "clusters", "5"),
-            (SequentialRow, "rmse", None),
-            (SequentialRow, "clusters", True),
-            (IncrementalRow, "threshold", "x"),
-            (IncrementalRow, "rmse", np.array([0.1, 0.2])),
+            (SequentialRow, "clusters", "5", "an integer"),
+            (SequentialRow, "rmse", None, "a real number"),
+            (SequentialRow, "clusters", True, "an integer"),
+            (SequentialRow, "clusters", np.int64(5), "an integer"),
+            (SequentialRow, "clusters", 2.5, "an integer"),
+            (SequentialRow, "clusters", 0, ">= 1"),
+            (SequentialRow, "rmse", math.nan, "finite"),
+            (IncrementalRow, "threshold", "x", "a real number"),
+            (IncrementalRow, "threshold", math.inf, "finite"),
+            (IncrementalRow, "rmse", np.array([0.1, 0.2]), "a real number"),
         ],
     )
-    def test_a_field_that_is_not_a_number_is_rejected(self, row, field, value):
+    def test_a_field_that_is_not_a_number_is_rejected(self, row, field, value, rule):
+        # Each field is checked by its declared type: an int field is a
+        # count, a float field a finite real.
         fields = {"clusters": 5, "rmse": 0.1}
         if row is IncrementalRow:
             fields["threshold"] = 0.1
         fields[field] = value
-        with pytest.raises(ConfigError, match=f"^{field} must be a real number, got "):
+        with pytest.raises(ConfigError, match=f"^{field} must be {rule}, got "):
             row(**fields)
-
-    def test_types_are_checked_not_ranges(self):
-        # The report checks the ranges, with the messages it always had.
-        assert math.isnan(SequentialRow(-1, math.nan).rmse)
-        row = SequentialRow(np.int64(5), np.float64(-1.0))
-        with pytest.raises(ConfigError) as info:
-            RmseReport(LINEAR, "seq", 1, 10, 10, (row,))
-        assert str(info.value) == "rmse must be >= 0, got SequentialRow(clusters=5, rmse=-1.0)"
 
 
 class TestProtocol:
